@@ -234,8 +234,8 @@ def traced_run(workload: Workload, seed: int, seconds: int) -> Dict:
         "graph.matrix_hit_ratio": (
             ratio(pre_hits, pre_hits + pre_misses), "frac"),
         "graph.matrix_evictions": (
-            loadgen.metric_sum(after, "ikrq_shard_door_matrix_evictions",
-                               lacks_label="venue"), "count"),
+            delta("ikrq_shard_door_matrix_evictions", lacks_label="venue"),
+            "count"),
         "skeleton.lower_bound_ms": (parts["lower_bound"], "ms"),
         "dynamic.delta_ms": (dynamic["delta_ms"], "ms"),
         "dynamic.first_search_after_delta_ms": (dynamic["first_search_ms"],

@@ -81,13 +81,21 @@ class Fleet:
         cpus = placement()
         if cpus is not None:
             # The front end's threads (and the handler threads they
-            # start) keep to the fleet's core; the shards, forked
-            # before this, keep every core.
-            for tid in os.listdir(f"/proc/{self.proc.pid}/task"):
+            # start) keep to the fleet's core.  Each shard keeps to one
+            # core as well, one shard per core, so the engine work does
+            # not migrate between cores (and lose its caches) in some
+            # runs and not in others.
+            task = f"/proc/{self.proc.pid}/task"
+            shards = []
+            for tid in os.listdir(task):
                 try:
                     os.sched_setaffinity(int(tid), {cpus[1]})
-                except ProcessLookupError:  # a thread that just ended
-                    pass
+                    with open(f"{task}/{tid}/children") as fh:
+                        shards += [int(pid) for pid in fh.read().split()]
+                except (ProcessLookupError, FileNotFoundError):
+                    pass  # a thread that just ended
+            for i, pid in enumerate(sorted(shards)):
+                os.sched_setaffinity(pid, {cpus[i % len(cpus)]})
 
     def stop(self) -> None:
         if self.proc.poll() is None:
@@ -212,6 +220,15 @@ class PhaseResult:
     def searches(self) -> List[Item]:
         return [it for it in self.items if it.path == "/search"]
 
+    @classmethod
+    def pooled(cls, results: Sequence["PhaseResult"]) -> "PhaseResult":
+        """Several phases at one rate, taken as one."""
+        return cls([it for r in results for it in r.items],
+                   max(r.backlog_at_end for r in results),
+                   any(r.stopped_early for r in results),
+                   sum(r.wall_s for r in results),
+                   sum(r.cpu_s for r in results))
+
 
 def poisson_times(rate: float, duration_s: float, rng) -> List[float]:
     """Poisson arrivals conditioned on their expected count: that many
@@ -335,22 +352,23 @@ def phase_latency(result: PhaseResult, limit_ms: float) -> Dict:
 # Saturation search
 # ----------------------------------------------------------------------
 def saturation_search(step: Callable[[float], Dict], start_rate: float,
-                      factor: float, rel_width: float, limit_ms: float,
-                      max_steps: int) -> Dict:
+                      factor: float, limit_ms: float, count: int) -> Dict:
     """Bracket, then bisect, the highest rate a step passes at.
 
-    Rates climb by ``factor`` until a step fails (the bracket's upper
-    end) and then bisect until the bracket is narrower than
-    ``rel_width`` of its lower end, or the step budget runs out.  The
-    reported ``sat_qps`` is where p95 crosses ``limit_ms`` inside the
-    final bracket, interpolated log-linearly between the p95 of its two
-    end steps: the bracket's own measurements, without the quantisation
-    of picking one of its ends.
+    Rates climb (or fall) by ``factor`` until a passing and a failing
+    step bracket the saturation rate, and then bisect the bracket.
+    Exactly ``count`` steps run, so a run lasts the same time whatever
+    the fleet's speed.  The reported ``sat_qps`` is where a
+    least-squares line through every step's (log rate, log p95) crosses
+    ``limit_ms``, kept within the final bracket.  One step's
+    p95 near saturation is noisy (a few arrival clumps set it); the fit
+    averages that noise over all steps instead of resting on the two
+    that happen to end the bracket.
     """
     lo = hi = None
     rate = start_rate
     steps: List[Dict] = []
-    while len(steps) < max_steps:
+    for _ in range(count):
         verdict = step(rate)
         steps.append(verdict)
         if verdict["passed"]:
@@ -361,21 +379,24 @@ def saturation_search(step: Callable[[float], Dict], start_rate: float,
             rate *= factor
         elif lo is None:
             rate /= factor
-        elif hi["rate_qps"] / lo["rate_qps"] - 1.0 <= rel_width:
-            break
         else:
             rate = math.sqrt(lo["rate_qps"] * hi["rate_qps"])
     if lo is None or hi is None:
         return {"sat_qps": lo["rate_qps"] if lo else 0.0,
                 "bracket_width": None, "steps": steps}
     lo_rate, hi_rate = lo["rate_qps"], hi["rate_qps"]
-    p_lo, p_hi = lo["p95_ms"], hi["p95_ms"]
-    if p_hi > p_lo > 0.0:
-        share = (math.log(limit_ms) - math.log(p_lo)) / (
-            math.log(p_hi) - math.log(p_lo))
-        share = min(1.0, max(0.0, share))
-    else:  # the ends' p95 disagree with their verdicts: take the middle
-        share = 0.5
-    return {"sat_qps": lo_rate * (hi_rate / lo_rate) ** share,
+    points = [(math.log(s["rate_qps"]), math.log(s["p95_ms"]))
+              for s in steps if s["p95_ms"] > 0.0]
+    mx = sum(x for x, _ in points) / len(points)
+    my = sum(y for _, y in points) / len(points)
+    sxx = sum((x - mx) ** 2 for x, _ in points)
+    slope = (sum((x - mx) * (y - my) for x, y in points) / sxx
+             if sxx else 0.0)
+    if slope > 0.0:
+        sat = math.exp(mx + (math.log(limit_ms) - my) / slope)
+    else:  # p95 did not rise with rate: take the bracket's middle
+        sat = math.sqrt(lo_rate * hi_rate)
+    return {"sat_qps": min(hi_rate, max(lo_rate, sat)),
             "bracket": [lo_rate, hi_rate],
-            "bracket_width": hi_rate / lo_rate - 1.0, "steps": steps}
+            "bracket_width": hi_rate / lo_rate - 1.0, "fit_slope": slope,
+            "steps": steps}

@@ -8,24 +8,33 @@ answer it checks must be byte-identical to a sequential in-process
 engine; any mismatch, failed request or broken workload gate makes
 the run exit non-zero.
 
-    python3 perfbench/run.py --workload cold-paper --seed 1 --seconds 40 --trace 0
-    python3 perfbench/run.py --workload hot-repeat --seed 1 --seconds 40 --trace 1
+    python3 perfbench/run.py --workload cold-paper --seed 1 --seconds 50 --trace 0
+    python3 perfbench/run.py --workload hot-repeat --seed 1 --seconds 50 --trace 1
     python3 perfbench/run.py --steady 10 --workload all   # spread vs. bound
 
 ``--trace 0`` reports the end-to-end metrics of ``BENCHMARK.json``:
 
-* ``setup_s`` — median, over three server constructions, of the time
+* ``setup_s`` — median, over seven server constructions, of the time
   from ``IKRQServer(...)`` to every shard holding the venue and the
   first ``ok`` answer,
 * ``p50_ms`` / ``p95_ms`` / ``slo_ok_frac`` — at the workload's fixed
   offered rate, latency from the scheduled send instant, and the share
   of requests answered ``ok`` within the workload's latency limit,
-* ``sat_qps`` — the Poisson rate at which p95 reaches the limit, with
-  no failures and no growing backlog: bracketed by a failing step,
-  bisected, then interpolated inside the final bracket,
-* ``delta_p50_ms`` — median round trip of idle venue-wide closure
-  ``POST /delta`` events (and their reopening) after the load,
 * ``shard_rss_mb`` — the largest shard resident size at the end.
+
+Between the fixed-rate windows the run searches the saturation rate
+``sat_qps``: the Poisson rate at which p95 reaches the limit, with no
+failures and no growing backlog — bracketed by a failing step,
+bisected, then read off a fit of p95 against rate over every step,
+kept within the final bracket.  It goes into the record, and a run
+whose search ends unbracketed fails, but it is not an end-to-end
+metric: it follows the spare capacity of the whole 2-core host, which
+on a shared host swings between runs about twice as far as the
+latencies do, beyond any bound the benchmark may set.  Windows and
+steps alternate, so each kind of measurement spans the whole run.
+
+The ``POST /delta`` path is measured by the traced run only
+(``dynamic.delta_ms``); no timed workload writes.
 
 ``--trace 1`` runs the fixed-rate traffic once untraced and once with
 every request traced, and reports the per-layer metrics (``layers.py``).
@@ -41,7 +50,6 @@ import math
 import os
 import platform
 import sys
-import time
 from pathlib import Path
 from typing import Dict, List
 
@@ -64,17 +72,10 @@ from workloads import (FIXED_SHARE, MIX, SAT_FACTOR,  # noqa: E402
                        SAT_STEPS, SAT_WIDTH, VENUE_ID, WORKLOADS, Traffic,
                        Workload, search_body)
 
-SETUPS = 3
-#: Idle close/reopen ``POST /delta`` pairs after the load, and the pause
-#: before each.
-DELTA_PROBES = 40
-DELTA_PROBE_GAP_S = 0.05
+SETUPS = 7
 #: ``ok`` answers byte-checked per run where every query is distinct.
 COLD_SAMPLE = 30
 MIN_FIXED_SAMPLES = 200   # ≥ 10 samples beyond p95
-#: Steps a saturation search may take beyond the nominal count when the
-#: fleet is far from the configured start rate (the run grows longer).
-SAT_EXTRA_STEPS = 4
 WARM_QUERIES = 12
 
 
@@ -83,7 +84,7 @@ WARM_QUERIES = 12
 # ----------------------------------------------------------------------
 def start_fleet(venue: Venue, setups: int = SETUPS) -> Fleet:
     """The fleet, first answering a fixed query (independent of seed)."""
-    query = take(query_stream(venue, seed=0, endpoint_pairs=1), 1)[0]
+    query = take(query_stream(venue, endpoint_pairs=1), 1)[0]
     probe = {"venue": VENUE_ID, "query": query_to_wire(query),
              "algorithm": "ToE"}
     return Fleet(VENUE_ID, venue.snapshot, probe, setups)
@@ -102,11 +103,17 @@ def warm(port: int, traffic: Traffic) -> None:
             raise RuntimeError(f"warm-up request failed: HTTP {code} {raw!r}")
 
 
+def in_flight(rate: float, workload: Workload) -> float:
+    """Requests a step may hold in flight without a growing queue: one
+    per sender, plus those that arrive within the latency limit."""
+    return loadgen.SENDERS + rate * workload.limit_ms / 1000.0
+
+
 def judge(result: loadgen.PhaseResult, rate: float,
           workload: Workload) -> Dict:
     """One saturation step's verdict."""
     lat = loadgen.phase_latency(result, workload.limit_ms)
-    backlog_ok = result.backlog_at_end <= rate * workload.limit_ms / 1000.0
+    backlog_ok = result.backlog_at_end <= in_flight(rate, workload)
     passed = (not result.stopped_early and lat["failed"] == 0
               and lat["p95_ms"] <= workload.limit_ms and backlog_ok)
     return {"rate_qps": rate, "passed": passed,
@@ -114,9 +121,17 @@ def judge(result: loadgen.PhaseResult, rate: float,
             "backlog_at_end": result.backlog_at_end, **lat}
 
 
+def sat_start(fixed: loadgen.PhaseResult, workload: Workload) -> float:
+    """The first saturation step's rate, from a fixed-rate window's
+    median round trip: the program's speed on this host in this run."""
+    rtt_ms = loadgen.median([it.rtt_ms for it in fixed.searches()
+                             if it.ok])
+    return workload.sat_start_share * loadgen.SENDERS * 1000.0 / rtt_ms
+
+
 def max_backlog(rate: float, workload: Workload) -> int:
-    """Queued requests that would take twice the limit to drain."""
-    return int(rate * workload.limit_ms / 1000.0 * 2.0) + 2
+    """A backlog at which a step has clearly failed and stops early."""
+    return int(3.0 * in_flight(rate, workload))
 
 
 def shard_rss_mb(scrape: Dict[str, float]) -> float:
@@ -138,23 +153,6 @@ def answer_hit_ratio(before: Dict[str, float],
     misses = counter_delta(before, after, "ikrq_shard_answer_misses",
                            lacks_label="venue")
     return hits / (hits + misses) if hits + misses else 0.0
-
-
-def delta_probes(port: int, traffic: Traffic, count: int) -> List[Item]:
-    """Idle venue-wide close/reopen ``POST /delta`` pairs, each timed.
-
-    The pairs are spread over a few seconds, so one passing host stall
-    cannot move their median."""
-    items = []
-    for i, body in enumerate(traffic.surge_bodies() * count):
-        if i % 2 == 0:
-            time.sleep(DELTA_PROBE_GAP_S)
-        item = Item(0.0, "/delta", body)
-        started = time.perf_counter()
-        item.code, item.raw = loadgen.request(port, "POST", "/delta", body)
-        item.started, item.ended = 0.0, time.perf_counter() - started
-        items.append(item)
-    return items
 
 
 def workload_gates(workload: Workload, identity: Dict,
@@ -201,53 +199,59 @@ def timed_run(workload: Workload, seed: int, seconds: int) -> Dict:
     venue = Venue()
     traffic = Traffic(workload, venue, seed)
     reference = checks.Reference(venue)
-    fixed_s = seconds * FIXED_SHARE
+    window_s = seconds * FIXED_SHARE / SAT_STEPS
     step_s = seconds * (1.0 - FIXED_SHARE) / SAT_STEPS
     phases: List[loadgen.PhaseResult] = []
+    windows: List[loadgen.PhaseResult] = []
     with start_fleet(venue) as fleet:
         warm(fleet.port, traffic)
         before = loadgen.scrape_metrics(fleet.port)
-        fixed = loadgen.run_phase(
-            fleet.port, traffic.phase_items(workload.rate_qps, fixed_s))
-        phases.append(fixed)
+
+        # Fixed-rate windows and saturation steps alternate, so both
+        # kinds of measurement span the whole run and a slow spell of
+        # the host weighs on them alike.
+        def fixed_window() -> None:
+            result = loadgen.run_phase(
+                fleet.port, traffic.phase_items(workload.rate_qps, window_s))
+            phases.append(result)
+            windows.append(result)
 
         def step(rate: float) -> Dict:
             result = loadgen.run_phase(
-                fleet.port, traffic.phase_items(rate, step_s),
+                fleet.port, traffic.step_items(rate, step_s),
                 max_backlog(rate, workload))
             phases.append(result)
+            if len(windows) < SAT_STEPS:
+                fixed_window()
             return judge(result, rate, workload)
 
+        fixed_window()
         sat = loadgen.saturation_search(
-            step, workload.sat_start_qps, SAT_FACTOR, SAT_WIDTH,
-            workload.limit_ms, SAT_STEPS + SAT_EXTRA_STEPS)
+            step, sat_start(windows[0], workload), SAT_FACTOR,
+            workload.limit_ms, SAT_STEPS)
         after = loadgen.scrape_metrics(fleet.port)
-        probes = delta_probes(fleet.port, traffic, DELTA_PROBES)
-        rss = shard_rss_mb(loadgen.scrape_metrics(fleet.port))
+        rss = shard_rss_mb(after)
 
+    fixed = loadgen.PhaseResult.pooled(windows)
     items = [it for phase in phases for it in phase.items]
     identity = checks.verify(items, traffic.queries, reference,
                              COLD_SAMPLE if workload.pool is None else None,
                              seed)
     latency = loadgen.phase_latency(fixed, workload.limit_ms)
     hit_ratio = answer_hit_ratio(before, after)
-    failed = sum(1 for it in items + probes if not it.ok)
+    failed = sum(1 for it in items if not it.ok)
     gates = workload_gates(workload, identity, hit_ratio)
-    # A failing rate was observed and bisection narrowed the bracket
-    # to at most twice the target width.
+    # A failing rate was observed and bisection narrowed the bracket.
     gates["sat_bracketed"] = (sat["bracket_width"] is not None
-                              and sat["bracket_width"]
-                              <= 2 * SAT_WIDTH)
+                              and sat["bracket_width"] <= SAT_WIDTH)
     gates["fixed_phase_samples"] = (
         latency["attempted"] - latency["failed"] >= MIN_FIXED_SAMPLES)
     gates["no_failures"] = failed == 0
     metrics = {
         "setup_s": (loadgen.median(fleet.setup_s), "s"),
-        "sat_qps": (sat["sat_qps"], "1/s"),
         "p50_ms": (latency["p50_ms"], "ms"),
         "p95_ms": (latency["p95_ms"], "ms"),
         "slo_ok_frac": (latency["slo_ok_frac"], "frac"),
-        "delta_p50_ms": (loadgen.median([it.rtt_ms for it in probes]), "ms"),
         "shard_rss_mb": (rss, "MB"),
     }
     record = {"environment": environment(seed, workload, seconds),
@@ -256,7 +260,7 @@ def timed_run(workload: Workload, seed: int, seconds: int) -> Dict:
               "fixed_phase": latency, "saturation": sat,
               "setup_runs_s": fleet.setup_s,
               "gen_cpu_frac": fixed.cpu_s / fixed.wall_s}
-    return finish(metrics, record, len(items) + len(probes), failed)
+    return finish(metrics, record, len(items), failed)
 
 
 def report(name: str, out: Dict) -> str:
@@ -278,15 +282,15 @@ def main(argv=None) -> int:
                         help="measured seconds (default: BENCHMARK.json)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--steady", type=int, default=0, metavar="N",
-                        help="run each workload N times with seeds "
-                             "1..N and print spreads against the bounds")
+                        help="run each workload N times, seeds --seed "
+                             "onwards, and print spreads against the bounds")
     args = parser.parse_args(argv)
     spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())
     seconds = args.seconds or int(spec["run_seconds"])
     if args.steady:
         import steady
-        return steady.main(spec, args.workload, args.steady, seconds,
-                           args.trace)
+        return steady.main(spec, args.workload, args.steady, args.seed,
+                           seconds, args.trace)
     workload = WORKLOADS.get(args.workload)
     if workload is None:
         parser.error(f"unknown workload {args.workload!r}; "

@@ -1,12 +1,14 @@
 """Steadiness mode: repeat each workload and compare spreads to bounds.
 
-``run.py --steady N`` runs every chosen workload N times, seeds 1..N,
-each in a fresh process exactly as a single run would, and prints per
-end-to-end metric the median, the quartiles (``statistics.quantiles``,
-n=4) and the spread — the interquartile distance as a share of the
-median — next to the metric's ``bound`` in ``BENCHMARK.json``.  A
-spread must stay within its bound (``setup_s`` excepted) and should
-stay below a third of it.  Exits non-zero when any run fails.
+``run.py --steady N --seed S`` runs every chosen workload N times,
+seeds S..S+N-1, each in a fresh process exactly as a single run would,
+and prints per end-to-end metric the median, the quartiles
+(``statistics.quantiles``, n=4) and the spread — the interquartile
+distance as a share of the median — next to the metric's ``bound`` in
+``BENCHMARK.json``.  A spread must stay within its bound and should
+stay below a third of it; the spread of ``setup_s`` is printed but not
+judged, since only its median is compared between two sets of runs.
+Exits non-zero when any run fails or any judged spread is over bound.
 """
 
 from __future__ import annotations
@@ -30,8 +32,13 @@ def one_run(workload: str, seed: int, seconds: int, trace: int) -> Dict:
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
     if proc.returncode != 0 or not result.get("correct"):
+        try:
+            gates = json.loads(lines[-2])["gates"]
+            why = ", ".join(g for g, ok in gates.items() if not ok)
+        except (IndexError, KeyError, ValueError):
+            why = "no record"
         raise RuntimeError(f"{workload} seed {seed} failed "
-                           f"(exit {proc.returncode})")
+                           f"(exit {proc.returncode}: {why})")
     return result
 
 
@@ -41,15 +48,19 @@ def spread(values: List[float]) -> Dict[str, float]:
             "spread": (q3 - q1) / med if med else float("inf")}
 
 
-def main(spec: Dict, workload: str, runs: int, seconds: int,
-         trace: int) -> int:
+#: Metrics whose spread is reported but not judged.
+UNJUDGED = ("setup_s",)
+
+
+def main(spec: Dict, workload: str, runs: int, first_seed: int,
+         seconds: int, trace: int) -> int:
     names = ([w["name"] for w in spec["workloads"]] if workload == "all"
              else [workload])
     metrics = spec["per_layer" if trace else "end_to_end"]
     status = 0
     for name in names:
         values: Dict[str, List[float]] = {m["name"]: [] for m in metrics}
-        for seed in range(1, runs + 1):
+        for seed in range(first_seed, first_seed + runs):
             try:
                 result = one_run(name, seed, seconds, trace)
             except RuntimeError as exc:
@@ -69,10 +80,14 @@ def main(spec: Dict, workload: str, runs: int, seconds: int,
             s = spread(series)
             bound = metric.get("bound")
             verdict = ""
-            if bound is not None:
+            if metric["name"] in UNJUDGED:
+                verdict = "not judged"
+            elif bound is not None:
                 verdict = ("ok" if s["spread"] <= bound / 3.0 else
                            "within bound" if s["spread"] <= bound else
                            "OVER BOUND")
+                if verdict == "OVER BOUND":
+                    status = 1
             print(f"  {metric['name']:30s} median {s['median']:12.4f} "
                   f"q1 {s['q1']:12.4f} q3 {s['q3']:12.4f} "
                   f"spread {s['spread']:7.3f}"

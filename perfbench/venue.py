@@ -1,7 +1,9 @@
 """Benchmark inputs: the venue, its baked snapshot, and the query pools.
 
-The venue is fixed (a 30-floor synthetic mall); only the queries and
-arrival schedules depend on the run's ``--seed``.  Baking the warm
+The venue and its query streams are fixed (a 30-floor synthetic mall
+and seeded runs of the paper's generator over it); the run's
+``--seed`` draws the arrival schedules and which pool query each
+request repeats (``workloads.py``).  Baking the warm
 KoE* door matrix into the snapshot costs tens of seconds, so the
 snapshot is cached under ``.bench_build/perfbench/<key>/`` in the
 checkout, keyed by the venue config and a digest of the program
@@ -48,6 +50,9 @@ class QueryShape:
 
 
 SHAPE = QueryShape()
+#: Seed of the fixed-rate query stream, which is fixed with the venue
+#: (saturation steps draw from a second stream, ``workloads.py``).
+QUERY_SEED = 0
 
 
 def _source_digest() -> str:
@@ -86,14 +91,18 @@ class Venue:
                 "s2t_m": round(self.s2t, 3), "shape": asdict(SHAPE)}
 
 
-def query_stream(venue: Venue, seed: int, endpoint_pairs: int) -> Iterator[IKRQ]:
+def query_stream(venue: Venue, endpoint_pairs: int,
+                 seed: int = QUERY_SEED) -> Iterator[IKRQ]:
     """An endless stream of distinct paper-method queries.
 
-    ``endpoint_pairs`` (ps, pt) pairs are drawn once — the generator's
-    costly step — and cycled; every query draws a fresh keyword list,
-    so no two queries are equal and each one misses the answer cache.
-    Cycling more pairs than a shard's point-map LRU holds keeps the
-    per-endpoint caches cold too.
+    ``endpoint_pairs`` (ps, pt) pairs are drawn once and cycled, and
+    every query draws a fresh keyword list, so no two queries are equal
+    and each one misses the answer cache.  Cycling more pairs than a
+    shard's point-map LRU holds keeps the per-endpoint caches cold too.
+    A stream is the same in every run: a phase then measures the same
+    queries whatever the run's seed, and only the timing noise is left
+    in the spread between runs, not which queries a seed happened to
+    draw.
     """
     gen = QueryGenerator(venue.space, venue.kindex, graph=venue.graph,
                          seed=seed)
@@ -115,12 +124,12 @@ def take(stream: Iterator[IKRQ], count: int) -> List[IKRQ]:
     return [next(stream) for _ in range(count)]
 
 
-def algorithm_cycle(mix: Tuple[Tuple[str, int], ...], seed: int) -> List[str]:
+def algorithm_cycle(mix: Tuple[Tuple[str, int], ...]) -> List[str]:
     """A shuffled block holding each algorithm its exact integer share.
 
     Phases draw algorithms by walking this block, so every phase runs
     the configured mix exactly instead of a random approximation.
     """
     block = [name for name, count in mix for _ in range(count)]
-    random.Random(seed).shuffle(block)
+    random.Random(QUERY_SEED).shuffle(block)
     return block
