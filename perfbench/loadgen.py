@@ -351,16 +351,26 @@ def phase_latency(result: PhaseResult, limit_ms: float) -> Dict:
 # ----------------------------------------------------------------------
 # Saturation search
 # ----------------------------------------------------------------------
+def _bracket_width(lo: Optional[Dict], hi: Optional[Dict]) -> float:
+    if lo is None or hi is None:
+        return math.inf
+    return hi["rate_qps"] / lo["rate_qps"] - 1.0
+
+
 def saturation_search(step: Callable[[float], Dict], start_rate: float,
-                      factor: float, limit_ms: float, count: int) -> Dict:
+                      factor: float, limit_ms: float, count: int,
+                      max_count: int, width: float) -> Dict:
     """Bracket, then bisect, the highest rate a step passes at.
 
     Rates climb (or fall) by ``factor`` until a passing and a failing
     step bracket the saturation rate, and then bisect the bracket.
-    Exactly ``count`` steps run, so a run lasts the same time whatever
-    the fleet's speed.  The reported ``sat_qps`` is where a
-    least-squares line through every step's (log rate, log p95) crosses
-    ``limit_ms``, kept within the final bracket.  One step's
+    ``count`` steps run in every run.  Only when they end without a
+    bracket of at most ``width`` (the host changed speed after the
+    start rate was chosen, or one step's p95 was a fluke) do more
+    steps follow, up to ``max_count``, so a slow spell of a shared host
+    lengthens a run instead of failing it.  The reported ``sat_qps`` is
+    where a least-squares line through every step's (log rate, log p95)
+    crosses ``limit_ms``, kept within the final bracket.  One step's
     p95 near saturation is noisy (a few arrival clumps set it); the fit
     averages that noise over all steps instead of resting on the two
     that happen to end the bracket.
@@ -368,7 +378,8 @@ def saturation_search(step: Callable[[float], Dict], start_rate: float,
     lo = hi = None
     rate = start_rate
     steps: List[Dict] = []
-    for _ in range(count):
+    while len(steps) < max_count and (len(steps) < count or
+                                      _bracket_width(lo, hi) > width):
         verdict = step(rate)
         steps.append(verdict)
         if verdict["passed"]:
@@ -398,5 +409,5 @@ def saturation_search(step: Callable[[float], Dict], start_rate: float,
         sat = math.sqrt(lo_rate * hi_rate)
     return {"sat_qps": min(hi_rate, max(lo_rate, sat)),
             "bracket": [lo_rate, hi_rate],
-            "bracket_width": hi_rate / lo_rate - 1.0, "fit_slope": slope,
+            "bracket_width": _bracket_width(lo, hi), "fit_slope": slope,
             "steps": steps}

@@ -69,8 +69,8 @@ import loadgen  # noqa: E402
 from loadgen import Fleet, Item  # noqa: E402
 from venue import Venue, query_stream, take  # noqa: E402
 from workloads import (FIXED_SHARE, MIX, SAT_FACTOR,  # noqa: E402
-                       SAT_STEPS, SAT_WIDTH, VENUE_ID, WORKLOADS, Traffic,
-                       Workload, search_body)
+                       SAT_MAX_STEPS, SAT_STEPS, SAT_WIDTH, VENUE_ID,
+                       WORKLOADS, Traffic, Workload, search_body)
 
 SETUPS = 7
 #: ``ok`` answers byte-checked per run where every query is distinct.
@@ -173,8 +173,9 @@ def environment(seed: int, workload: Workload, seconds: int) -> Dict:
     return {"seed": seed, "seconds": seconds, "cores": os.cpu_count(),
             "python": platform.python_version(),
             "workload": {**vars(workload), "fixed_share": FIXED_SHARE,
-                         "sat_steps": SAT_STEPS, "sat_factor": SAT_FACTOR,
-                         "sat_width": SAT_WIDTH}}
+                         "sat_steps": SAT_STEPS,
+                         "sat_max_steps": SAT_MAX_STEPS,
+                         "sat_factor": SAT_FACTOR, "sat_width": SAT_WIDTH}}
 
 
 def finish(metrics: Dict, record: Dict, attempted: int,
@@ -228,7 +229,7 @@ def timed_run(workload: Workload, seed: int, seconds: int) -> Dict:
         fixed_window()
         sat = loadgen.saturation_search(
             step, sat_start(windows[0], workload), SAT_FACTOR,
-            workload.limit_ms, SAT_STEPS)
+            workload.limit_ms, SAT_STEPS, SAT_MAX_STEPS, SAT_WIDTH)
         after = loadgen.scrape_metrics(fleet.port)
         rss = shard_rss_mb(after)
 

@@ -39,6 +39,10 @@ def one_run(workload: str, seed: int, seconds: int, trace: int) -> Dict:
             why = "no record"
         raise RuntimeError(f"{workload} seed {seed} failed "
                            f"(exit {proc.returncode}: {why})")
+    sat = json.loads(lines[-2]).get("saturation")
+    if sat:  # the search behind the gate, for the log
+        result["search"] = (f"sat_qps={sat['sat_qps']:.4g} "
+                            f"steps={len(sat['steps'])}")
     return result
 
 
@@ -70,8 +74,8 @@ def main(spec: Dict, workload: str, runs: int, first_seed: int,
             for metric, doc in result["metrics"].items():
                 values.setdefault(metric, []).append(doc["value"])
             print(f"  {name} seed {seed}: " + " ".join(
-                f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()),
-                flush=True)
+                f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
+                + f" {result.get('search', '')}", flush=True)
         print(f"{name}: {runs} runs x {seconds} s")
         for metric in metrics:
             series = values.get(metric["name"], [])

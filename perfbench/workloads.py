@@ -48,9 +48,11 @@ SAT_STEPS = 4
 #: final bracket (share of its lower end) a valid run may end with —
 #: one bisection of a ``SAT_FACTOR`` bracket.  Four steps bracket and
 #: bisect once whenever the saturation rate lies within ``SAT_FACTOR``
-#: squared of the first step's rate.
+#: squared of the first step's rate; otherwise extra steps, up to
+#: ``SAT_MAX_STEPS`` in all, go on until they do.
 SAT_FACTOR = 1.3
 SAT_WIDTH = 0.15
+SAT_MAX_STEPS = 7
 #: (ps, pt) pairs the distinct-query stream cycles through.
 ENDPOINT_PAIRS = 400
 #: Seed of the arrival pattern every saturation step replays.
