@@ -16,12 +16,13 @@ path: for each venue size it
 5. cold-starts a third engine from a **binary v2 snapshot**, replays
    the stream again, and verifies identity a third time, timing the
    v1-JSON vs. v2-binary snapshot load on the side,
-6. replays the stream through engines pinned to each available
-   compiled kernel backend (``numpy`` / ``native``), verifying
-   byte-identity a fourth time, and micro-benchmarks the two kernel
-   surfaces in isolation (endpoint lower-bound sweeps and full
-   Dijkstra tree builds) per backend with an in-run byte-identity
-   gate — the per-kernel speedup entries of the trajectory,
+6. replays the stream through an engine with the C Dijkstra
+   detached (the interpreted loop), verifying byte-identity a fourth
+   time, and micro-benchmarks full Dijkstra tree builds on the C and
+   interpreted loops with an in-run byte-identity gate — the kernel
+   speedup entries of the trajectory (the array engine itself runs
+   the C Dijkstra whenever ``_kernels.c`` builds; ``kernel`` records
+   which),
 7. splits one untimed instrumented pass into relaxation vs.
    lower-bound vs. merge wall time (where does a query's time go?),
 8. replays the stream once more with serve-style request tracing
@@ -29,7 +30,7 @@ path: for each venue size it
    against a bare twin engine and reports the qps overhead — the
    audit for the ≤2% tracing budget,
 9. appends one entry per size — qps for all modes, the speedup over
-   the dict core, per-kernel stage speedups, the stage split, the
+   the dict core, the kernel speedups, the stage split, the
    tracing overhead, p50/p95/p99 latencies and cold-start times — to
    the ``BENCH_throughput.json`` trajectory.
 
@@ -166,8 +167,7 @@ def _stage_breakdown(engine: IKRQEngine, stream, algorithm: str) -> Dict:
     lb_names = [name for name in
                 ("lower_bound", "lower_bound_heads",
                  "lower_bound_via_partition",
-                 "lower_bound_via_partition_heads",
-                 "lower_bound_sweep_from", "lower_bound_sweep_to")
+                 "lower_bound_via_partition_heads")
                 if hasattr(skeleton, name)]
     originals = [(graph, "_run_dijkstra", graph._run_dijkstra)]
     originals += [(skeleton, name, getattr(skeleton, name))
@@ -296,115 +296,54 @@ def _tracing_overhead(space, kindex, stream, distinct, algorithm: str,
 KERNEL_PASSES = 3
 
 
-def _kernel_stage(space, kindex, stream, sources_cap: int = 48) -> Dict:
-    """Per-backend kernel-level sequential qps with in-run identity.
+def _kernel_stage(space, sources_cap: int = 48) -> Dict:
+    """The C Dijkstra vs the interpreted loop, with in-run identity.
 
-    Measures the two kernel surfaces in isolation, per backend:
-
-    * ``lower-bound``: full endpoint sweeps (``lower_bound_sweep_from``
-      / ``..._to``) for every distinct stream endpoint — the Rule 1-4
-      work one query performs across its candidate doors;
-    * ``relaxation``: full ``dijkstra_tree`` builds over a
-      deterministic source sample — the matrix-row/batch-relaxation
-      work.
-
-    The ``python`` rows are the interpreted array core (no kernel
-    attached).  Every faster backend's outputs are compared
-    byte-for-byte against it in-run: sweep maps by exact float
-    equality per door, trees by buffer bytes (``verified_identical``
-    in the result; a mismatch raises).  Unavailable backends record
-    their reason and are skipped — the graceful python-ward
-    degradation the serve tier relies on.
-
-    Each backend gets its own graph/skeleton pair (so per-backend
-    kernel caches persist across passes) and the passes are
-    *interleaved* across backends — like the end-to-end replay, so a
-    machine-load swing hits every backend's pass, not one backend's
-    whole block, and best-of-``KERNEL_PASSES`` compares like with
-    like.
+    Times full ``dijkstra_tree`` builds over a deterministic source
+    sample — the matrix-row/batch-relaxation work — on one graph with
+    the C Dijkstra attached and detached.  Passes alternate between
+    the two so a machine-load swing hits both, and the best of
+    ``KERNEL_PASSES`` counts.  The C trees must equal the interpreted
+    ones byte for byte (buffers and visit order; a mismatch raises).
+    Without a C compiler the ``native`` row records why.
     """
     from repro.space.graph import DoorGraph
-    from repro.space.kernels import available_backends, get_suite
-    from repro.space.skeleton import SkeletonIndex
+    from repro.space.kernels import kernel_info, native_sssp
 
-    endpoints = list(dict.fromkeys(
-        p for query in stream for p in (query.ps, query.pt)))
     doors = sorted(space.doors)
     step = max(1, len(doors) // sources_cap)
     sources = doors[::step][:sources_cap]
-
-    availability = available_backends()
-    backends = {}
-    harness = []
-    for backend in ("python", "numpy", "native"):
-        reason = availability.get(backend)
-        if reason is not None:
-            backends[backend] = {"available": False, "reason": reason}
-            continue
-        graph = DoorGraph(space)
-        skeleton = SkeletonIndex(space)
-        if backend != "python":
-            suite = get_suite(backend)
-            graph.set_kernel(suite)
-            skeleton.set_kernel(suite)
-        heads = [skeleton.heads(p) for p in endpoints]
-        harness.append({"backend": backend, "graph": graph,
-                        "skeleton": skeleton, "heads": heads,
-                        "best_lb": float("inf"),
-                        "best_relax": float("inf")})
+    graph = DoorGraph(space)
+    sssp = native_sssp()
+    contenders = [("python", None)] + ([("native", sssp)] if sssp else [])
+    best = {name: float("inf") for name, _ in contenders}
+    outputs = {}
     for _ in range(KERNEL_PASSES):
-        for h in harness:
-            skeleton, graph = h["skeleton"], h["graph"]
-            started = time.perf_counter()
-            sweeps = ([skeleton.lower_bound_sweep_from(ha)
-                       for ha in h["heads"]]
-                      + [skeleton.lower_bound_sweep_to(ha)
-                         for ha in h["heads"]])
-            h["best_lb"] = min(h["best_lb"],
-                               time.perf_counter() - started)
+        for name, kernel in contenders:
+            graph.set_kernel(kernel)
             started = time.perf_counter()
             trees = [graph.dijkstra_tree(src) for src in sources]
-            h["best_relax"] = min(h["best_relax"],
-                                  time.perf_counter() - started)
-            h["outputs"] = (sweeps, [
-                (bytes(t.dist), bytes(t.pred), bytes(t.pred_via),
-                 bytes(t.touched)) for t in trees])
-    reference = None
-    for h in harness:
-        if reference is None:
-            reference = h["outputs"]
-        elif h["outputs"] != reference:
-            raise AssertionError(
-                f"kernel backend {h['backend']!r} output differs from "
-                "the interpreted array core")
-        lb_ops = 2 * len(endpoints)
-        relax_ops = len(sources)
-        best_lb, best_relax = h["best_lb"], h["best_relax"]
-        backends[h["backend"]] = {
-            "available": True,
-            "lower_bound_qps": lb_ops / best_lb if best_lb else float("inf"),
-            "relaxation_qps": (relax_ops / best_relax
-                               if best_relax else float("inf")),
-            "kernel_qps": ((lb_ops + relax_ops) / (best_lb + best_relax)
-                           if best_lb + best_relax else float("inf")),
-            "lower_bound_seconds": best_lb,
-            "relaxation_seconds": best_relax,
-        }
-    base = backends.get("python", {})
-    for name, entry in backends.items():
-        if not entry.get("available") or name == "python":
-            continue
-        for key in ("lower_bound_qps", "relaxation_qps", "kernel_qps"):
-            if base.get(key):
-                entry[f"speedup_{key[:-4]}"] = entry[key] / base[key]
-    best_name = max(
-        (name for name, e in backends.items() if e.get("available")),
-        key=lambda name: backends[name]["kernel_qps"])
+            best[name] = min(best[name], time.perf_counter() - started)
+            outputs[name] = [(bytes(t.dist), bytes(t.pred),
+                              bytes(t.pred_via), bytes(t.touched))
+                             for t in trees]
+    if sssp is not None and outputs["native"] != outputs["python"]:
+        raise AssertionError(
+            "the C Dijkstra's trees differ from the interpreted loop's")
+    backends = {name: {"available": True,
+                       "relaxation_qps": (len(sources) / seconds
+                                          if seconds else float("inf")),
+                       "relaxation_seconds": seconds}
+                for name, seconds in best.items()}
+    if sssp is None:
+        backends["native"] = {"available": False,
+                              "reason": kernel_info()["unavailable"]}
+    else:
+        backends["native"]["speedup_relaxation"] = (
+            backends["native"]["relaxation_qps"]
+            / backends["python"]["relaxation_qps"])
     return {
         "backends": backends,
-        "best_backend": best_name,
-        "best_speedup": backends[best_name].get("speedup_kernel", 1.0),
-        "lower_bound_ops": 2 * len(endpoints),
         "relaxation_sources": len(sources),
         "verified_identical": True,
     }
@@ -490,40 +429,30 @@ def run_scale_size(floors: int,
             "v2-cold-started engine results differ from the live engine")
 
     n = len(stream)
-    # End-to-end replay per kernel backend: same stream, same warm-up,
-    # answers must match the interpreted array core byte-for-byte.
-    from repro.space.kernels import available_backends
-    availability = available_backends()
-    kernel_end_to_end = {}
-    for backend in ("numpy", "native"):
-        reason = availability.get(backend)
-        if reason is not None:
-            kernel_end_to_end[backend] = {"available": False,
-                                          "reason": reason}
-            continue
-        k_engine = IKRQEngine(space, kindex, door_matrix_eager=False,
-                              kernel=backend)
-        for query in distinct:
-            k_engine.search(query, algorithm)
-        k_answers, k_s, k_lat = _timed_interleaved(
-            [(k_engine, None)], stream, algorithm)[0]
-        if _signature(k_answers) != _signature(array_answers):
-            raise AssertionError(
-                f"kernel={backend} engine results differ from the "
-                "interpreted array core")
-        kernel_end_to_end[backend] = {
-            "available": True,
-            "qps": n / k_s if k_s else float("inf"),
-            "seconds": k_s,
-            "latency_ms": latency_percentiles(k_lat),
-            "speedup_vs_array": ((n / k_s) / (n / array_s)
-                                 if k_s and array_s else float("inf")),
-        }
-    kernel_stage = _kernel_stage(space, kindex, stream)
+    # End-to-end replay on the interpreted loop: same stream, same
+    # warm-up, answers byte-identical to the array engine, which runs
+    # the C Dijkstra whenever it builds.
+    interpreted = IKRQEngine(space, kindex, door_matrix_eager=False)
+    interpreted.graph.set_kernel(None)
+    for query in distinct:
+        interpreted.search(query, algorithm)
+    py_answers, py_s, py_lat = _timed_interleaved(
+        [(interpreted, None)], stream, algorithm)[0]
+    if _signature(py_answers) != _signature(array_answers):
+        raise AssertionError(
+            "interpreted-loop results differ from the C Dijkstra's")
+    kernel_end_to_end = {
+        "interpreted_qps": n / py_s if py_s else float("inf"),
+        "interpreted_seconds": py_s,
+        "interpreted_latency_ms": latency_percentiles(py_lat),
+        "speedup_vs_interpreted": (py_s / array_s
+                                   if py_s and array_s else float("inf")),
+    }
+    kernel_stage = _kernel_stage(space)
     # The split replays on a *fresh* engine: a warmed engine serves the
     # whole stream from matrix-row caches and every stage but merge
     # vanishes.  Cold, the pass shows where a new shard's time goes —
-    # the relaxation/lower-bound shares the kernels attack.
+    # the relaxation and lower-bound shares.
     stage_breakdown = _stage_breakdown(
         IKRQEngine(space, kindex, door_matrix_eager=False), stream,
         algorithm)
@@ -532,6 +461,7 @@ def run_scale_size(floors: int,
         "mode": "scale",
         "venue": "synth",
         "algorithm": algorithm,
+        "kernel": engine.kernel_backend,
         "floors": floors,
         "rooms_per_floor": rooms_per_floor,
         "words_per_room": words_per_room,
@@ -575,25 +505,18 @@ def _format_kernel_lines(result: Dict) -> List[str]:
             f"(of {split['total_s'] * 1000.0:.1f} ms/pass)")
     stage = result.get("kernel_stage")
     if stage:
-        for key, label in (("lower_bound_qps", "kernel lb "),
-                           ("relaxation_qps", "kernel sssp"),
-                           ("kernel_qps", "kernel all ")):
-            parts = []
-            for name in ("python", "numpy", "native"):
-                entry = stage["backends"].get(name, {})
-                if not entry.get("available"):
-                    parts.append(f"{name}=n/a")
-                    continue
-                text = f"{name}={entry[key]:.1f}/s"
-                speedup = entry.get(f"speedup_{key[:-4]}")
-                if speedup is not None:
-                    text += f" ({speedup:.1f}x)"
-                parts.append(text)
-            lines.append(f"  {label}: " + "  ".join(parts))
-        lines.append(
-            f"  kernel best: {stage['best_backend']} "
-            f"{stage['best_speedup']:.1f}x vs interpreted core "
-            f"(bit-identical: {stage['verified_identical']})")
+        parts = []
+        for name in ("python", "native"):
+            entry = stage["backends"][name]
+            if not entry["available"]:
+                parts.append(f"{name}=n/a ({entry['reason']})")
+                continue
+            text = f"{name}={entry['relaxation_qps']:.1f}/s"
+            if "speedup_relaxation" in entry:
+                text += f" ({entry['speedup_relaxation']:.1f}x)"
+            parts.append(text)
+        lines.append("  kernel sssp: " + "  ".join(parts)
+                     + f"  (bit-identical: {stage['verified_identical']})")
     tracing = result.get("tracing")
     if tracing:
         lines.append(
@@ -604,15 +527,10 @@ def _format_kernel_lines(result: Dict) -> List[str]:
             f"identical: {tracing['verified_identical']})")
     e2e = result.get("kernel_end_to_end")
     if e2e:
-        parts = []
-        for name in ("numpy", "native"):
-            entry = e2e.get(name, {})
-            if not entry.get("available"):
-                parts.append(f"{name}=n/a")
-            else:
-                parts.append(f"{name}={entry['qps']:.1f} q/s "
-                             f"({entry['speedup_vs_array']:.2f}x)")
-        lines.append("  e2e kernel : " + "  ".join(parts))
+        lines.append(
+            f"  e2e kernel : {result['kernel']} "
+            f"{e2e['speedup_vs_interpreted']:.2f}x vs interpreted loop "
+            f"({e2e['interpreted_qps']:.1f} q/s)")
     return lines
 
 

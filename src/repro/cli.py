@@ -502,7 +502,6 @@ def _cmd_serve(args) -> int:
             matrix_spill_dir=args.matrix_spill,
             matrix_max_rows=args.matrix_budget,
             gc_keep_last=args.gc_keep,
-            kernel=args.kernel,
             trace_sample=args.trace_sample,
             slow_ms=args.slow_ms,
             trace_buffer_size=args.trace_buffer,
@@ -781,12 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="memory-tier: cap resident door-matrix rows "
                         "per loaded engine (overrides the snapshot's "
                         "baked budget; pair with --matrix-spill)")
-    p.add_argument("--kernel", default="auto",
-                   choices=("auto", "python", "numpy", "native"),
-                   help="compute kernel backend for shard engines "
-                        "(auto walks native > numpy > python and "
-                        "degrades cleanly; every backend is "
-                        "bit-identical)")
     p.add_argument("--gc-keep", type=int, default=None, metavar="N",
                    help="generation GC: after each ingest, keep the "
                         "newest N retired generations for rollback and "

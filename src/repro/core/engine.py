@@ -43,6 +43,7 @@ from repro.keywords.matching import QueryKeywords
 from repro.keywords.mappings import KeywordIndex
 from repro.space.distances import DistanceOracle
 from repro.space.graph import DijkstraWorkspace, DoorGraph, DoorMatrix
+from repro.space import kernels
 from repro.space.indoor_space import IndoorSpace
 from repro.space.skeleton import SkeletonIndex
 from repro.core.framework import IKRQSearch, SearchConfig
@@ -199,8 +200,7 @@ class IKRQEngine:
                  oracle: Optional[DistanceOracle] = None,
                  graph: Optional[DoorGraph] = None,
                  skeleton: Optional[SkeletonIndex] = None,
-                 door_matrix: Optional[DoorMatrix] = None,
-                 kernel: Optional[str] = None) -> None:
+                 door_matrix: Optional[DoorMatrix] = None) -> None:
         self.space = space
         self.kindex = kindex
         #: Optional partition-popularity map for the γ-weighted ranking
@@ -214,22 +214,12 @@ class IKRQEngine:
         self.oracle = oracle or DistanceOracle(space)
         self.graph = graph or DoorGraph(space, self.oracle)
         self.skeleton = skeleton or SkeletonIndex(space)
-        # Kernel tier selection: ``None`` consults ``REPRO_KERNEL`` and
-        # defaults to the interpreted core; ``auto`` walks
-        # native > numpy > python and degrades cleanly.  Every backend
-        # is bit-identical, so this is purely a speed knob.  The
-        # hasattr guards keep injected reference oracles (the dict
-        # cores kept for gating) working without kernel hooks.
-        from repro.space.kernels import get_suite
-        suite = get_suite(kernel)
-        self.kernel_requested = kernel
-        self.kernel_backend = suite.name
+        # The C Dijkstra is attached whenever ``_kernels.c`` builds on
+        # this machine; otherwise the interpreted loop runs.  Both are
+        # bit-identical.  Injected reference graphs (the dict core kept
+        # for gating) have no kernel hook.
         if hasattr(self.graph, "set_kernel"):
-            self.graph.set_kernel(suite)
-        else:
-            self.kernel_backend = "python"
-        if hasattr(self.skeleton, "set_kernel"):
-            self.skeleton.set_kernel(suite)
+            self.graph.set_kernel(kernels.native_sssp())
         #: Whether the KoE* door matrix is filled eagerly when first
         #: requested.  The matrix itself defaults to lazy rows (the
         #: mode the paper measures against); the engine defaults to
@@ -393,10 +383,14 @@ class IKRQEngine:
                 lb_to_pt=self._endpoint_lb(self._lb_to_cache, query.pt))
         return ctx
 
+    @property
+    def kernel_backend(self) -> str:
+        """``native`` when the graph runs the C Dijkstra, else ``python``."""
+        return getattr(self.graph, "kernel_name", "python")
+
     def kernel_info(self) -> Dict[str, object]:
-        """Operator-facing kernel state: requested, active, available."""
-        from repro.space.kernels import kernel_info
-        info = kernel_info(self.kernel_requested)
+        """The active Dijkstra and why the C build is unavailable, if so."""
+        info = kernels.kernel_info()
         info["active"] = self.kernel_backend
         return info
 
@@ -433,8 +427,7 @@ class IKRQEngine:
             door_matrix_eager=self.door_matrix_eager,
             door_matrix_max_rows=self.door_matrix_max_rows,
             oracle=self.oracle, graph=self.graph, skeleton=self.skeleton,
-            door_matrix=self._matrix, kernel=self.kernel_requested)
-        sibling.kernel_backend = self.kernel_backend
+            door_matrix=self._matrix)
         sibling.mapped_bytes = self.mapped_bytes
         sibling._snapshot_mmap = self._snapshot_mmap
         return sibling
@@ -652,9 +645,6 @@ class QueryService:
             raise ValueError("answer_cache_capacity must be non-negative")
         self.engine = engine
         self.workers = workers
-        #: The engine's resolved kernel backend, surfaced for shard
-        #: ready messages and ``/metrics``.
-        self.kernel_backend = getattr(engine, "kernel_backend", "python")
         self.point_map_capacity = point_map_capacity
         self.keyword_cache_capacity = keyword_cache_capacity
         self.answer_cache_capacity = answer_cache_capacity

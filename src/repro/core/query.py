@@ -64,12 +64,22 @@ class IKRQ:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
+        # NaN slips through every range check below (all comparisons
+        # are false) and ∞ passes ``delta > 0``: reject both up front.
+        for name in ("delta", "alpha", "tau", "soft_slack", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
+        for p in (self.ps, self.pt):
+            if not all(math.isfinite(v) for v in (p.x, p.y, p.level)):
+                raise ValueError("query points must have finite coordinates")
         if self.delta <= 0:
             raise ValueError("distance constraint Δ must be positive")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must be in [0, 1]")
+        if not (0.0 <= self.tau <= 1.0):
+            raise ValueError("tau must be in [0, 1]")
         if not self.keywords:
             raise ValueError("query keyword list QW must not be empty")
         if self.soft_slack < 0.0:
@@ -177,13 +187,6 @@ class QueryContext:
         # their floors' staircase doors exactly once per query instead
         # of once per lower-bound call.
         self._use_heads = getattr(self.skeleton, "supports_heads", False)
-        # With a kernel attached, the first per-door lower-bound miss
-        # prefills the whole endpoint map in one vectorized sweep
-        # (values bit-identical to the per-door calls, so the shared
-        # per-endpoint caches stay exact).
-        self._kernel_sweeps = (
-            self._use_heads
-            and getattr(self.skeleton, "_kernel", None) is not None)
         self._ps_heads = None
         self._pt_heads = None
         # Optional start-point attachment tree (host pid, dist, pred)
@@ -583,13 +586,6 @@ class QueryContext:
         if isinstance(item, int):
             cached = self._lb_to_pt.get(item)
             if cached is None:
-                if self._kernel_sweeps:
-                    self._lb_to_pt.update(
-                        skeleton.lower_bound_sweep_to(
-                            self._terminal_heads()))
-                    cached = self._lb_to_pt.get(item)
-                    if cached is not None:
-                        return cached
                 if self._use_heads:
                     cached = skeleton.lower_bound_heads(
                         skeleton.heads(item), self._terminal_heads())
@@ -608,13 +604,6 @@ class QueryContext:
         if isinstance(item, int):
             cached = self._lb_from_ps.get(item)
             if cached is None:
-                if self._kernel_sweeps:
-                    self._lb_from_ps.update(
-                        skeleton.lower_bound_sweep_from(
-                            self._start_heads()))
-                    cached = self._lb_from_ps.get(item)
-                    if cached is not None:
-                        return cached
                 if self._use_heads:
                     cached = skeleton.lower_bound_heads(
                         self._start_heads(), skeleton.heads(item))

@@ -149,6 +149,10 @@ def _drop_queue(queue) -> None:
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
+class _BadQuery(ValueError):
+    """A search request whose query document does not validate."""
+
+
 def _shard_worker(shard_id: int,
                   boot: int,
                   initial: Sequence[Tuple[str, int, str]],
@@ -199,7 +203,6 @@ def _shard_worker(shard_id: int,
     use_mmap = bool(options.get("mmap"))
     spill_dir = options.get("matrix_spill_dir")
     matrix_max_rows = options.get("matrix_max_rows", _UNSET)
-    kernel = options.get("kernel")
     injector = FaultInjector(options.get("fault_plan"), shard_id, boot)
 
     def _service_for(engine) -> "QueryService":
@@ -241,8 +244,7 @@ def _shard_worker(shard_id: int,
                 spill_dir, f"{venue}.g{generation}.shard{shard_id}.rows")
         engine = load_snapshot(path, mmap=use_mmap,
                                matrix_spill_path=spill_path,
-                               matrix_max_rows=matrix_max_rows,
-                               kernel=kernel)
+                               matrix_max_rows=matrix_max_rows)
         # Warm pass: sequential prefetch of a mapped snapshot moves
         # first-touch page-ins off the request path (covers both the
         # initial load and every hot-swap ingest, which land here).
@@ -267,7 +269,7 @@ def _shard_worker(shard_id: int,
                    "venues": sorted({venue for venue, _, _ in initial}),
                    "csr_builds": DoorGraph.csr_builds,
                    "s2s_builds": SkeletonIndex.s2s_builds,
-                   "kernels": sorted({service.kernel_backend
+                   "kernels": sorted({service.engine.kernel_backend
                                       for service in services.values()})})
     allow_sleep = bool(options.get("allow_sleep"))
     while True:
@@ -297,7 +299,8 @@ def _shard_worker(shard_id: int,
                 # of every evaluation this service actually ran.
                 venue_stats.append({"venue": venue,
                                     "generation": generation,
-                                    "kernel": service.kernel_backend,
+                                    "kernel":
+                                        service.engine.kernel_backend,
                                     "stats": snap,
                                     "search": service.search_counters(),
                                     "memory":
@@ -446,9 +449,12 @@ def _shard_worker(shard_id: int,
                 # Test-only latency injection (saturation tests); the
                 # HTTP surface never forwards a sleep field.
                 time.sleep(float(msg["sleep"]))
-            if trace_spans is not None:
-                decode_start = _offset()
+            decode_start = _offset()
+            try:
                 query = query_from_wire(msg["query"])
+            except (TypeError, ValueError) as exc:
+                raise _BadQuery(str(exc)) from exc
+            if trace_spans is not None:
                 trace_spans.append(span_doc(
                     STAGE_DECODE, decode_start, _offset() - decode_start))
                 engine_trace = EngineTrace(fine=bool(trace_req.get("fine")))
@@ -463,7 +469,6 @@ def _shard_worker(shard_id: int,
                                                       engine_ms),
                     **engine_trace.annotations))
             else:
-                query = query_from_wire(msg["query"])
                 answer = service.search(query, msg.get("algorithm", "ToE"),
                                         overlay=overlay_doc)
             doc = answer_to_wire(answer)
@@ -471,6 +476,10 @@ def _shard_worker(shard_id: int,
             doc["status"] = "ok"
             doc["elapsed"] = time.perf_counter() - started
             _put(doc)
+        except _BadQuery as exc:
+            # A malformed or non-finite query is the client's error: a
+            # 400, answered without failover.
+            _put({**base, "status": "bad_request", "error": str(exc)})
         except Exception as exc:
             _put({**base, "status": "error", "error": repr(exc)})
         if crash_after:
@@ -1440,7 +1449,8 @@ class ShardDispatcher:
         #: *every* request — the policy only decides retention and
         #: which requests carry the fine engine-stage split.
         self.trace_policy = trace_policy or TracePolicy()
-        self.trace_buffer = trace_buffer or TraceBuffer()
+        self.trace_buffer = (TraceBuffer() if trace_buffer is None
+                             else trace_buffer)
         if registry is None:
             registry = SnapshotRegistry()
             for venue, path in pool.initial_venues.items():
@@ -1596,6 +1606,11 @@ class ShardDispatcher:
         try:
             extra_overlay = ClosureOverlay.from_wire(closures)
             at = None if at is None else float(at)
+            if deadline_s is not None:
+                deadline_s = float(deadline_s)
+            if not all(math.isfinite(v) for v in (at, deadline_s)
+                       if v is not None):
+                raise ValueError("at and deadline_s must be finite")
         except (TypeError, ValueError) as exc:
             self._record("bad_request", venue)
             return self._finalise_trace(

@@ -77,12 +77,22 @@ _STATUS_HTTP = {
 }
 
 
+def _reject_constant(name: str):
+    """``json`` accepts ``NaN`` / ``Infinity`` tokens; strict JSON does not."""
+    raise ValueError(f"non-standard JSON constant {name!r}")
+
+
 class _Handler(BaseHTTPRequestHandler):
     server: "_HTTPServer"
 
     # ------------------------------------------------------------------
     def _send_json(self, code: int, doc: Dict) -> None:
-        body = json.dumps(doc).encode("utf-8")
+        try:
+            body = json.dumps(doc, allow_nan=False).encode("utf-8")
+        except ValueError as exc:  # a NaN/∞ must never go out as JSON
+            code = 500
+            body = json.dumps({"status": "error",
+                               "error": repr(exc)}).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -101,7 +111,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_body(self) -> Optional[Dict]:
         try:
             length = int(self.headers.get("Content-Length", "0"))
-            doc = json.loads(self.rfile.read(length) or b"{}")
+            doc = json.loads(self.rfile.read(length) or b"{}",
+                             parse_constant=_reject_constant)
         except (ValueError, json.JSONDecodeError) as exc:
             self._send_json(400, {"status": "bad_request",
                                   "error": repr(exc)})
@@ -292,7 +303,6 @@ class IKRQServer:
                  matrix_spill_dir: Optional[str] = None,
                  matrix_max_rows: Optional[int] = None,
                  gc_keep_last: Optional[int] = None,
-                 kernel: Optional[str] = None,
                  trace_sample: float = 0.01,
                  slow_ms: float = 500.0,
                  trace_buffer_size: int = 256,
@@ -310,8 +320,6 @@ class IKRQServer:
             options["matrix_spill_dir"] = str(matrix_spill_dir)
         if matrix_max_rows is not None:
             options["matrix_max_rows"] = matrix_max_rows
-        if kernel is not None:
-            options["kernel"] = kernel
         self.pool = ShardPool(snapshot_path, shards=workers,
                               service_options=options,
                               venues=venues,
@@ -454,10 +462,9 @@ class IKRQServer:
                      for name, value in (entry.get("memory") or {}).items()},
                     shard=shard, venue=entry.get("venue"),
                     generation=entry.get("generation"))
-                # Which compute tier each shard actually runs: an info
-                # gauge (constant 1) carrying the backend as a label,
-                # so operators can assert the fleet is on the fast
-                # kernel rather than silently degraded to python.
+                # Which Dijkstra each shard runs: an info gauge
+                # (constant 1) labelled ``native`` (the C build) or
+                # ``python`` (no compiler: the interpreted loop).
                 if entry.get("kernel"):
                     self.metrics.set_gauge(
                         "ikrq_shard_kernel_info", 1, shard=shard,

@@ -199,16 +199,14 @@ def is_snapshot_document(doc: Dict) -> bool:
 
 def engine_from_snapshot(doc: Dict,
                          matrix_spill_path: Optional[str] = None,
-                         matrix_max_rows=_UNSET,
-                         kernel: Optional[str] = None) -> IKRQEngine:
+                         matrix_max_rows=_UNSET) -> IKRQEngine:
     """Rebuild a ready-to-serve engine without running any index build.
 
     The CSR buffers, skeleton matrix and warm door-matrix rows are
     adopted as-is (``DoorGraph.csr_builds`` / ``SkeletonIndex.s2s_builds``
     stay untouched — tests assert the cold-start skips the rebuild).
     ``matrix_spill_path`` / ``matrix_max_rows`` mirror
-    :func:`load_snapshot`'s memory-tiering overrides; ``kernel``
-    selects the compute backend (see :mod:`repro.space.kernels`).
+    :func:`load_snapshot`'s memory-tiering overrides.
     """
     if not is_snapshot_document(doc):
         raise ValueError(f"not a {SNAPSHOT_FORMAT} document")
@@ -243,8 +241,7 @@ def engine_from_snapshot(doc: Dict,
         door_matrix_eager=engine_doc.get("door_matrix_eager", True),
         door_matrix_max_rows=max_rows,
         door_matrix_spill_path=matrix_spill_path,
-        oracle=oracle, graph=graph, skeleton=skeleton, door_matrix=matrix,
-        kernel=kernel)
+        oracle=oracle, graph=graph, skeleton=skeleton, door_matrix=matrix)
 
 
 def prime_from_snapshot(doc: Dict) -> PrimeTable:
@@ -416,8 +413,7 @@ def _engine_from_packed(header: Dict,
                         arrays: "OrderedDict[str, array]",
                         mapped: Optional[Dict] = None,
                         matrix_spill_path: Optional[str] = None,
-                        matrix_max_rows=_UNSET,
-                        kernel: Optional[str] = None) -> IKRQEngine:
+                        matrix_max_rows=_UNSET) -> IKRQEngine:
     """Adopt packed buffers as the runtime structures — no conversion.
 
     The CSR arrays, the flat δs2s table and the dense matrix rows feed
@@ -466,8 +462,7 @@ def _engine_from_packed(header: Dict,
         door_matrix_eager=engine_doc.get("door_matrix_eager", True),
         door_matrix_max_rows=max_rows,
         door_matrix_spill_path=matrix_spill_path,
-        oracle=oracle, graph=graph, skeleton=skeleton, door_matrix=matrix,
-        kernel=kernel)
+        oracle=oracle, graph=graph, skeleton=skeleton, door_matrix=matrix)
     if mapped is not None:
         engine.mapped_bytes = mapped["bytes"]
         engine._snapshot_mmap = mapped["mmap"]
@@ -567,8 +562,7 @@ def read_snapshot(path: Union[str, Path]) -> Dict:
 def load_snapshot(path: Union[str, Path],
                   mmap: bool = False,
                   matrix_spill_path: Optional[str] = None,
-                  matrix_max_rows=_UNSET,
-                  kernel: Optional[str] = None) -> IKRQEngine:
+                  matrix_max_rows=_UNSET) -> IKRQEngine:
     """Load a snapshot file (either encoding) into a ready-to-serve
     engine without running any index build.
 
@@ -585,20 +579,15 @@ def load_snapshot(path: Union[str, Path],
       tier at this path (see :class:`~repro.space.rowcache.RowCacheFile`).
     * ``matrix_max_rows`` — override the snapshot's resident-row
       budget (``None`` lifts it) without re-baking the file.
-    * ``kernel`` — compute-backend selection for the engine (``auto``
-      / ``numpy`` / ``native`` / ``python``); ``None`` keeps the
-      process default (see :mod:`repro.space.kernels`).
     """
     if is_binary_snapshot(path):
         header, arrays, mapped = _read_binary(path, use_mmap=mmap)
         return _engine_from_packed(header, arrays, mapped=mapped,
                                    matrix_spill_path=matrix_spill_path,
-                                   matrix_max_rows=matrix_max_rows,
-                                   kernel=kernel)
+                                   matrix_max_rows=matrix_max_rows)
     return engine_from_snapshot(read_snapshot(path),
                                 matrix_spill_path=matrix_spill_path,
-                                matrix_max_rows=matrix_max_rows,
-                                kernel=kernel)
+                                matrix_max_rows=matrix_max_rows)
 
 
 def warm_mapped(engine: IKRQEngine) -> int:

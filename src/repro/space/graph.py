@@ -129,8 +129,8 @@ class DijkstraWorkspace:
         self.epoch = 0
         self.heap: List[Tuple[float, int]] = []
         self.touched: List[int] = []
-        #: Backend-owned scratch (numpy views, native heap buffers);
-        #: lazily attached by the kernel tier, never read here.
+        #: The C Dijkstra's heap/touched buffers; lazily attached by
+        #: :mod:`repro.space.kernels`, never read here.
         self.kernel_scratch = None
 
     def begin(self) -> int:
@@ -200,9 +200,6 @@ class FlatTree:
     def from_workspace(cls, ws: DijkstraWorkspace,
                        graph: "DoorGraph") -> "FlatTree":
         """Freeze the current run of ``ws`` into an immutable tree."""
-        kernel = graph._kernel
-        if kernel is not None and kernel.freeze is not None:
-            return kernel.freeze(graph, ws)
         n = len(graph._door_ids)
         dist = array("d", [INF]) * n
         pred = array("q", [_ROOT]) * n
@@ -419,7 +416,7 @@ class DoorGraph:
             did: idx for idx, did in enumerate(self._door_ids)}
         self._build_csr()
         self._workspace_tls = threading.local()
-        self._kernel = None
+        self._sssp = None
 
     @classmethod
     def from_csr(cls,
@@ -454,7 +451,7 @@ class DoorGraph:
         graph._via = _adopt_buffer("q", via)
         graph._wt = _adopt_buffer("d", wt)
         graph._workspace_tls = threading.local()
-        graph._kernel = None
+        graph._sssp = None
         return graph
 
     def csr_arrays(self) -> Dict[str, list]:
@@ -527,22 +524,20 @@ class DoorGraph:
     # ------------------------------------------------------------------
     # Kernel tier
     # ------------------------------------------------------------------
-    def set_kernel(self, suite) -> None:
-        """Attach a :class:`repro.space.kernels.KernelSuite`.
+    def set_kernel(self, sssp) -> None:
+        """Attach the compiled Dijkstra, or detach it with ``None``.
 
-        ``None`` (or the pure-python suite) detaches the kernel and the
-        interpreted loops run.  Every attached backend is bit-identical
-        to the interpreted core, so swapping kernels never changes a
-        single answer byte.
+        ``sssp`` is :func:`repro.space.kernels.native_sssp`'s callable;
+        engines attach it when it builds.  Detached, the interpreted
+        loop runs.  Both are bit-identical, so attaching or detaching
+        never changes a single answer byte.
         """
-        if suite is not None and suite.name == "python":
-            suite = None
-        self._kernel = suite
+        self._sssp = sssp
 
     @property
     def kernel_name(self) -> str:
-        """The active kernel backend name (``python`` when detached)."""
-        return self._kernel.name if self._kernel is not None else "python"
+        """``native`` with the C Dijkstra attached, else ``python``."""
+        return "python" if self._sssp is None else "native"
 
     # ------------------------------------------------------------------
     # Workspaces
@@ -593,10 +588,9 @@ class DoorGraph:
             banned_partitions: Partition ids no edge may traverse
                 (edges whose ``via`` is in the set are skipped).
         """
-        kernel = self._kernel
-        if kernel is not None and kernel.sssp is not None:
-            kernel.sssp(self, ws, seeds, banned, banned_partitions,
-                        targets, bound, forbid)
+        if self._sssp is not None:
+            self._sssp(self, ws, seeds, banned, banned_partitions,
+                       targets, bound, forbid)
             return
         bp = banned_partitions if banned_partitions else None
         epoch = ws.begin()
@@ -789,7 +783,7 @@ class DoorGraph:
             banned_partitions: Partition ids the path may not traverse
                 — no edge through such a partition is relaxed.  The
                 dynamic-overlay hook (closed corridors, maintenance
-                zones); honored identically by every kernel backend.
+                zones); honored identically by the C and interpreted loops.
 
         Returns:
             ``(dist, pred)`` where ``pred[d] = (previous door, via

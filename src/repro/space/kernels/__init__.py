@@ -1,189 +1,53 @@
-"""Pluggable kernel tier for the two innermost hot loops.
+"""The compiled Dijkstra for the door-graph hot loop.
 
-The array-native core (PR 3) left two interpreted inner loops on the
-per-query hot path: the CSR Dijkstra relaxation in
-:mod:`repro.space.graph` and the Rule 1-4 δs2s lower-bound double loop
-in :mod:`repro.space.skeleton`.  This package provides drop-in
-replacements for both behind the exact interfaces the interpreted
-core already exposes:
+ToE, KoE and KoE* spend most of their time in door-graph Dijkstra
+runs (:meth:`repro.space.graph.DoorGraph._run_dijkstra`).  This
+package provides one compiled replacement for that loop: a small C
+library (``_kernels.c``) built best-effort with the system C compiler
+and called through ``ctypes`` (see :mod:`.native_backend`).
 
-``python``
-    The interpreted array core itself (no kernel attached).  Always
-    available; the reference every other backend is gated against.
-``numpy``
-    Vectorized kernels: bucketed batch edge relaxation over the CSR
-    buffers and a fully vectorized lower-bound sweep over the flat
-    row-major δs2s table.  Available whenever numpy imports.
-``native``
-    A small C library (``_kernels.c``) compiled best-effort with the
-    system C compiler and loaded through ``ctypes`` — the classic
-    heap Dijkstra, executed over the same flat buffers.  Lower-bound
-    sweeps and tree freezing delegate to the numpy kernels, so the
-    backend requires numpy too.  Unavailable (without error) when no
-    compiler is present or the build fails.
-
-Every backend is bit-identical to the interpreted core: identical
-``dist``/``pred`` state including tie-breaking, identical visit
-(``touched``) order, identical float arithmetic (the proofs live with
-each backend).  Selection is by name — ``auto`` walks the preference
-order ``native > numpy > python`` and degrades python-ward cleanly
-when a faster tier is unavailable.  The ``REPRO_KERNEL`` environment
-variable overrides the default for engines that do not pass an
-explicit ``kernel=``.
+There is no selection knob.  Every :class:`~repro.core.IKRQEngine`
+attaches the C Dijkstra when ``_kernels.c`` builds on this machine
+and runs the interpreted loop when it does not (no compiler, failed
+build).  Both are bit-identical — the same ``dist``/``pred`` state,
+tie-breaking, visit order and float arithmetic (the argument lives in
+``_kernels.c``) — so the choice never changes an answer byte, only its
+speed.  ``DoorGraph.set_kernel(None)`` detaches the kernel; the
+identity tests use that to run the interpreted reference.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-#: Backend names in preference order (fastest first).  ``auto``
-#: resolves to the first available entry.
-BACKENDS: Tuple[str, ...] = ("native", "numpy", "python")
+#: ``(sssp callable or None, reason the build is unavailable or None)``
+#: once the build has been attempted in this process.
+_state: Optional[tuple] = None
 
 
 class KernelUnavailable(RuntimeError):
-    """Raised by a backend module when it cannot provide its kernels."""
+    """Raised when ``_kernels.c`` cannot be built or loaded."""
 
 
-class KernelSuite:
-    """The callables one backend contributes.
+def native_sssp() -> Optional[Callable]:
+    """The C ``sssp`` callable, or ``None`` when the build is unavailable.
 
-    Any hook may be ``None``, in which case the interpreted code path
-    runs for that operation.  ``sssp`` replaces
-    ``DoorGraph._run_dijkstra`` wholesale (same workspace side
-    effects); ``sweep_from`` / ``sweep_to`` compute the endpoint ->
-    every-door lower-bound table; ``freeze`` accelerates
-    ``FlatTree.from_workspace``.
+    The first call builds (or loads the cached build of) ``_kernels.c``;
+    later calls return the remembered outcome.
     """
-
-    __slots__ = ("name", "sssp", "sweep_from", "sweep_to", "freeze")
-
-    def __init__(self, name, sssp=None, sweep_from=None, sweep_to=None,
-                 freeze=None) -> None:
-        self.name = name
-        self.sssp = sssp
-        self.sweep_from = sweep_from
-        self.sweep_to = sweep_to
-        self.freeze = freeze
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"KernelSuite({self.name!r})"
+    global _state
+    if _state is None:
+        try:
+            from repro.space.kernels import native_backend
+            native_backend.library()
+            _state = (native_backend.sssp, None)
+        except Exception as exc:  # KernelUnavailable, OSError, ...
+            _state = (None, f"{type(exc).__name__}: {exc}")
+    return _state[0]
 
 
-_PYTHON_SUITE = KernelSuite("python")
-_suites: Dict[str, KernelSuite] = {"python": _PYTHON_SUITE}
-_unavailable: Dict[str, str] = {}
-
-
-def _load_suite(name: str) -> KernelSuite:
-    """Import and instantiate one backend's suite (may raise)."""
-    if name == "numpy":
-        from repro.space.kernels import numpy_backend
-        return numpy_backend.suite()
-    if name == "native":
-        from repro.space.kernels import native_backend
-        return native_backend.suite()
-    raise ValueError(f"unknown kernel backend {name!r}")
-
-
-def _try_suite(name: str) -> Optional[KernelSuite]:
-    """The backend's suite, or ``None`` (with the reason recorded)."""
-    suite = _suites.get(name)
-    if suite is not None:
-        return suite
-    if name in _unavailable:
-        return None
-    try:
-        suite = _load_suite(name)
-    except Exception as exc:  # ImportError, KernelUnavailable, ...
-        _unavailable[name] = f"{type(exc).__name__}: {exc}"
-        return None
-    _suites[name] = suite
-    return suite
-
-
-def available_backends() -> Dict[str, Optional[str]]:
-    """``backend -> None`` when usable, else the unavailability reason."""
-    out: Dict[str, Optional[str]] = {}
-    for name in BACKENDS:
-        out[name] = None if _try_suite(name) is not None \
-            else _unavailable.get(name)
-    return out
-
-
-def _candidates(requested: Optional[str]) -> Tuple[str, Tuple[str, ...]]:
-    """``(normalised request, fallback chain)`` for a selection."""
-    req = (requested if requested is not None
-           else os.environ.get("REPRO_KERNEL") or "python")
-    req = req.strip().lower()
-    if req == "auto":
-        return req, BACKENDS
-    if req not in BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {req!r}; "
-            f"expected one of {('auto',) + BACKENDS}")
-    # A named backend degrades python-ward through the preference
-    # order below it: native -> numpy -> python, numpy -> python.
-    start = BACKENDS.index(req)
-    return req, BACKENDS[start:]
-
-
-def resolve_backend(requested: Optional[str] = None) -> str:
-    """The concrete backend a request resolves to.
-
-    ``requested=None`` consults ``REPRO_KERNEL`` and defaults to
-    ``python`` (engines opt into the fast tier explicitly; the serve
-    fleet passes ``auto``).  Unavailable tiers degrade python-ward —
-    asking for ``native`` on a box without a C compiler yields
-    ``numpy``, and ``numpy`` without numpy yields ``python``.
-    """
-    _, chain = _candidates(requested)
-    for name in chain:
-        if _try_suite(name) is not None:
-            return name
-    return "python"
-
-
-def get_suite(requested: Optional[str] = None) -> KernelSuite:
-    """The resolved :class:`KernelSuite` for a selection request."""
-    return _suites[resolve_backend(requested)]
-
-
-def kernel_info(requested: Optional[str] = None) -> Dict[str, object]:
-    """Operator-facing summary of the kernel selection state."""
-    req = (requested if requested is not None
-           else os.environ.get("REPRO_KERNEL") or "python")
-    return {
-        "requested": req,
-        "active": resolve_backend(requested),
-        "available": available_backends(),
-    }
-
-
-def begin_run(graph, ws, banned: Iterable[int],
-              targets: Optional[Iterable[int]]) -> Tuple[int, int]:
-    """The shared Dijkstra run prologue every backend executes.
-
-    Bumps the workspace epoch, marks banned door ids and counts the
-    early-exit target set exactly as the interpreted loop does.
-    Returns ``(epoch, remaining)`` where ``remaining`` is -1 without a
-    target set and 0 when every target was already deduplicated away
-    (the run must then not explore at all).
-    """
-    epoch = ws.begin()
-    door_index = graph._door_index
-    banned_mark = ws.banned
-    for did in banned:
-        idx = door_index.get(did)
-        if idx is not None:
-            banned_mark[idx] = epoch
-    remaining = -1
-    if targets is not None:
-        remaining = 0
-        target_mark = ws.target
-        for idx in targets:
-            if target_mark[idx] != epoch:
-                target_mark[idx] = epoch
-                remaining += 1
-    return epoch, remaining
+def kernel_info() -> Dict[str, Optional[str]]:
+    """``{"active": "native" | "python", "unavailable": reason | None}``."""
+    sssp = native_sssp()
+    return {"active": "python" if sssp is None else "native",
+            "unavailable": _state[1]}

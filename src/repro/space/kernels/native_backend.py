@@ -1,21 +1,19 @@
-"""The C kernel backend: best-effort build, ctypes dispatch.
+"""The C Dijkstra: best-effort build, ctypes dispatch, no numpy.
 
 ``_kernels.c`` is compiled on first use with the system C compiler
 (``$CC`` or ``cc``) into a content-addressed shared object under a
 cache directory (``$REPRO_KERNEL_CACHE`` or
 ``<tmp>/repro-kernels``), so the build runs once per source revision
 per machine — no build system, no install-time hook, no new
-dependency.  When no compiler is present (or the build fails) the
-backend reports itself unavailable and selection degrades python-ward;
-nothing in the serving or query path hard-requires it.
+dependency.  When no compiler is present (or the build fails)
+:func:`library` raises :class:`KernelUnavailable` and engines run the
+interpreted loop; nothing in the serving or query path requires it.
 
 The C loop is a transcription of the interpreted Dijkstra (see the
-comment in ``_kernels.c`` for the bit-identity argument).  Lower-bound
-sweeps and tree freezing delegate to the numpy kernels — they are
-already memory-bound vectorized code — which is why this backend
-requires numpy as well (numpy also provides the pointer marshalling
-for ``mmap``-backed read-only snapshot buffers, which ``ctypes``
-cannot address directly).
+comment in ``_kernels.c`` for the bit-identity argument).  Buffers are
+passed by address: ``array`` objects report theirs directly, and
+read-only ``memoryview`` slices of an ``mmap``-ed snapshot are
+addressed through the CPython buffer protocol, without a copy.
 """
 
 from __future__ import annotations
@@ -72,44 +70,117 @@ def _build() -> ctypes.CDLL:
     return lib
 
 
-def _library() -> ctypes.CDLL:
+def library() -> ctypes.CDLL:
+    """The loaded kernel library (built on first use; may raise)."""
     global _lib
     if _lib is None:
         _lib = _build()
     return _lib
 
 
+class _PyBuffer(ctypes.Structure):
+    """CPython's ``Py_buffer`` (``obj`` kept opaque: no refcounting)."""
+
+    _fields_ = [("buf", ctypes.c_void_p), ("obj", ctypes.c_void_p),
+                ("len", ctypes.c_ssize_t), ("itemsize", ctypes.c_ssize_t),
+                ("readonly", ctypes.c_int), ("ndim", ctypes.c_int),
+                ("format", ctypes.c_char_p), ("shape", ctypes.c_void_p),
+                ("strides", ctypes.c_void_p),
+                ("suboffsets", ctypes.c_void_p),
+                ("internal", ctypes.c_void_p)]
+
+
+_get_buffer = ctypes.pythonapi.PyObject_GetBuffer
+_get_buffer.argtypes = [ctypes.py_object, ctypes.POINTER(_PyBuffer),
+                        ctypes.c_int]
+_get_buffer.restype = ctypes.c_int
+_release_buffer = ctypes.pythonapi.PyBuffer_Release
+_release_buffer.argtypes = [ctypes.POINTER(_PyBuffer)]
+_release_buffer.restype = None
+
+
 def _addr(buf) -> int:
-    """The base address of a typed buffer (array or memoryview)."""
+    """The base address of a contiguous buffer, without copying it.
+
+    Valid for as long as ``buf`` (and whatever it views, such as a
+    snapshot mapping) stays alive — the graph and workspace own every
+    buffer passed to the kernel.
+    """
     if isinstance(buf, array):
         return buf.buffer_info()[0]
-    # Read-only memoryviews (mmap-backed snapshot sections) have no
-    # ctypes path; numpy addresses them without copying.
-    import numpy as np
-    return np.frombuffer(buf, dtype=np.uint8).ctypes.data
+    view = _PyBuffer()
+    _get_buffer(buf, ctypes.byref(view), 0)  # PyBUF_SIMPLE
+    try:
+        return view.buf or 0
+    finally:
+        _release_buffer(ctypes.byref(view))
 
 
-def _scratch(ws, graph):
-    """Reusable heap/touched scratch sized for this graph."""
+def _begin_run(graph, ws, banned, targets):
+    """The run prologue of the interpreted loop, verbatim.
+
+    Bumps the workspace epoch, marks banned door ids and counts the
+    early-exit target set.  Returns ``(epoch, remaining)`` where
+    ``remaining`` is -1 without a target set and 0 when every target
+    was already deduplicated away (the run must then not explore).
+    """
+    epoch = ws.begin()
+    door_index = graph._door_index
+    banned_mark = ws.banned
+    for did in banned:
+        idx = door_index.get(did)
+        if idx is not None:
+            banned_mark[idx] = epoch
+    remaining = -1
+    if targets is not None:
+        remaining = 0
+        target_mark = ws.target
+        for idx in targets:
+            if target_mark[idx] != epoch:
+                target_mark[idx] = epoch
+                remaining += 1
+    return epoch, remaining
+
+
+class _Scratch:
+    """Per-workspace heap/touched buffers and the last edge-skip mask."""
+
+    __slots__ = ("cap", "heap", "touched", "mask_key", "mask")
+
+    def __init__(self, cap: int, n: int) -> None:
+        self.cap = cap
+        self.heap = ctypes.create_string_buffer(16 * cap)
+        self.touched = array("q", bytes(8 * n))
+        self.mask_key = None
+        self.mask = None
+
+
+def _scratch(ws, graph) -> _Scratch:
+    """Reusable scratch sized for this graph (heap holds seeds + edges)."""
+    cap = len(graph._nbr) + len(graph._door_ids) + 16
     scratch = ws.kernel_scratch
-    if scratch is None:
-        scratch = ws.kernel_scratch = {}
-    n = len(graph._door_ids)
-    cap = len(graph._nbr) + n + 16
-    native = scratch.get("native")
-    if native is None or native[0] < cap:
-        heap_buf = ctypes.create_string_buffer(16 * cap)
-        touched_buf = array("q", bytes(8 * n))
-        native = (cap, heap_buf, touched_buf)
-        scratch["native"] = native
-    return native
+    if scratch is None or scratch.cap < cap:
+        scratch = ws.kernel_scratch = _Scratch(cap, len(graph._door_ids))
+    return scratch
+
+
+def _edge_skip(scratch: _Scratch, graph, bp) -> bytearray:
+    """Per-edge mask of the edges through a banned partition.
+
+    A query under a closure overlay runs many Dijkstras with the same
+    sealed set, so the workspace keeps the last mask it built.
+    """
+    if scratch.mask_key is None or scratch.mask_key[0] is not graph \
+            or scratch.mask_key[1] != bp:
+        scratch.mask = bytearray(map(bp.__contains__, graph._via))
+        scratch.mask_key = (graph, bp)
+    return scratch.mask
 
 
 def sssp(graph, ws, seeds, banned, banned_partitions, targets, bound,
          forbid) -> None:
-    from repro.space.kernels import begin_run
-    lib = _library()
-    epoch, remaining = begin_run(graph, ws, banned, targets)
+    """``DoorGraph._run_dijkstra`` in C (same workspace side effects)."""
+    epoch, remaining = _begin_run(graph, ws, banned, targets)
     if remaining == 0:
         return
     bp = banned_partitions if banned_partitions else None
@@ -124,14 +195,11 @@ def sssp(graph, ws, seeds, banned, banned_partitions, targets, bound,
         seed_node.append(node)
         seed_pred.append(prev)
         seed_via.append(via)
-    edge_skip_ref = None
+    scratch = _scratch(ws, graph)
     edge_skip_ptr = 0
     if bp is not None:
-        from repro.space.kernels.numpy_backend import edge_skip_mask
-        edge_skip_ref = edge_skip_mask(graph, bp)
-        edge_skip_ptr = edge_skip_ref.ctypes.data
-    cap, heap_buf, touched_buf = _scratch(ws, graph)
-    count = lib.repro_dijkstra(
+        edge_skip_ptr = _addr(_edge_skip(scratch, graph, bp))
+    count = _lib.repro_dijkstra(
         _addr(graph._indptr), _addr(graph._nbr), _addr(graph._via),
         _addr(graph._wt), edge_skip_ptr,
         _addr(ws.dist), _addr(ws.pred), _addr(ws.pred_via),
@@ -140,19 +208,8 @@ def sssp(graph, ws, seeds, banned, banned_partitions, targets, bound,
         _addr(seed_w), _addr(seed_node), _addr(seed_pred),
         _addr(seed_via), len(seed_w), remaining,
         float(bound), forbid,
-        ctypes.addressof(heap_buf), cap, _addr(touched_buf))
-    del edge_skip_ref
+        ctypes.addressof(scratch.heap), scratch.cap,
+        _addr(scratch.touched))
     if count < 0:  # pragma: no cover - capacity is provably sufficient
         raise RuntimeError("native kernel heap overflow")
-    ws.touched.extend(touched_buf[:count])
-
-
-def suite():
-    from repro.space.kernels import KernelSuite
-    from repro.space.kernels import numpy_backend
-    _library()  # raises KernelUnavailable when the build is impossible
-    np_suite = numpy_backend.suite()
-    return KernelSuite("native", sssp=sssp,
-                       sweep_from=np_suite.sweep_from,
-                       sweep_to=np_suite.sweep_to,
-                       freeze=np_suite.freeze)
+    ws.touched.extend(scratch.touched[:count])

@@ -108,11 +108,6 @@ class SkeletonIndex:
         # items then enter the lower-bound double loop with *no*
         # per-call sqrt at all.
         self._door_heads: Dict[int, "Attachment"] = {}
-        #: Attached kernel suite (``None`` -> interpreted loops) and
-        #: its per-index cache of vectorized views of the δs2s table
-        #: and the per-floor door coordinate groups.
-        self._kernel = None
-        self._kernel_cache: Dict[str, object] = {}
 
     @classmethod
     def from_precomputed(cls,
@@ -164,24 +159,6 @@ class SkeletonIndex:
         # float object per access.  The array remains the canonical
         # (exported, snapshot-packed) representation.
         self._s2s_hot = list(s2s)
-
-    def set_kernel(self, suite) -> None:
-        """Attach a :class:`repro.space.kernels.KernelSuite`.
-
-        ``None`` or the pure-python suite detaches the kernel; the
-        interpreted double loop then serves every bound.  Attaching
-        resets the kernel cache so stale vectorized views of a
-        previous table can never leak across hot-swaps.
-        """
-        if suite is not None and suite.name == "python":
-            suite = None
-        self._kernel = suite
-        self._kernel_cache = {}
-
-    @property
-    def kernel_name(self) -> str:
-        """The active kernel backend name (``python`` when detached)."""
-        return self._kernel.name if self._kernel is not None else "python"
 
     def export(self) -> Dict[str, list]:
         """JSON-serialisable ``(stair_doors, s2s)`` snapshot payload.
@@ -338,33 +315,6 @@ class SkeletonIndex:
                 if total < best:
                     best = total
         return best
-
-    def lower_bound_sweep_from(self, ha: Attachment) -> Dict[int, float]:
-        """``door id -> |a, door|L`` for every door in the space.
-
-        The batched form of :meth:`lower_bound_heads` with ``ha`` as
-        the left endpoint.  A query context that will probe many doors
-        (the Rule 1-4 pruning loop visits most candidate partitions'
-        doors) amortises one vectorized sweep across all of them; each
-        value is bit-identical to the per-door call.
-        """
-        kernel = self._kernel
-        if kernel is not None and kernel.sweep_from is not None:
-            return kernel.sweep_from(self, ha)
-        lbh = self.lower_bound_heads
-        heads = self._heads
-        return {did: lbh(ha, heads(did))
-                for did in sorted(self._space.doors)}
-
-    def lower_bound_sweep_to(self, hb: Attachment) -> Dict[int, float]:
-        """``door id -> |door, b|L`` for every door in the space."""
-        kernel = self._kernel
-        if kernel is not None and kernel.sweep_to is not None:
-            return kernel.sweep_to(self, hb)
-        lbh = self.lower_bound_heads
-        heads = self._heads
-        return {did: lbh(heads(did), hb)
-                for did in sorted(self._space.doors)}
 
     @staticmethod
     def _touching_levels(a: Point, b: Point) -> bool:

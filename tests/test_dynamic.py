@@ -24,9 +24,10 @@ case is reconstructible from its seed alone::
     PYTHONPATH=src python -m pytest \
         "tests/test_dynamic.py::test_fuzz_closure_identity[SEED]"
 
-The CI ``dynamic-smoke`` job runs this file under each compute kernel
-(``REPRO_KERNEL`` in python/numpy/native), so the seeded scenarios
-below are exercised per backend.
+The CI ``dynamic-smoke`` job runs this file on both Dijkstra loops —
+the default leg, where engines attach the C build, and a
+``CC=/nonexistent`` leg, where they run the interpreted loop — so the
+seeded scenarios below are exercised on each.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from repro.dynamic import (DAY_S, WEEK_S, ClosureOverlay, DeltaError,
                            compile_closed_doors, validate_ops, week_offset)
 from repro.serve.wire import answer_to_wire, canonical_json
 from tests.conftest import random_small_space
-from tests.test_kernels import FAST, answer_signatures
+from tests.test_kernels import answer_signatures, c_sssp
 
 ALGOS = ("ToE", "KoE", "KoE*", "naive")
 
@@ -475,21 +476,23 @@ def test_fuzz_delta_identity(seed):
 
 
 # ----------------------------------------------------------------------
-# Kernel + snapshot coverage (native ctypes over mmap memoryviews)
+# Kernel + snapshot coverage (C ctypes over mmap memoryviews)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", FAST)
+@pytest.mark.parametrize("backend", ["native", "python"])
 @pytest.mark.parametrize("mapped", [False, True], ids=["eager", "mmap"])
 def test_overlay_identity_on_snapshot_loaded_engines(backend, mapped,
                                                      tmp_path):
-    """Closures over snapshot-loaded engines — including the native
-    ctypes backend reading read-only ``mmap`` memoryview buffers —
+    """Closures over snapshot-loaded engines — the C Dijkstra attached
+    (reading read-only ``mmap`` memoryview buffers) or detached —
     match the interpreted rebuilt venue byte for byte."""
     from repro.serve.snapshot import load_snapshot, save_snapshot
     space, kindex, ps, pt = random_small_space(2, n_rooms=6)
     plain = IKRQEngine(space, kindex)
+    plain.graph.set_kernel(None)
     path = tmp_path / "venue.snap.bin"
     save_snapshot(path, plain, binary=True)
-    loaded = load_snapshot(path, mmap=mapped, kernel=backend)
+    loaded = load_snapshot(path, mmap=mapped)
+    loaded.graph.set_kernel(c_sssp() if backend == "native" else None)
     assert loaded.kernel_backend == backend
     if mapped:
         assert loaded.mapped_bytes > 0
@@ -497,6 +500,7 @@ def test_overlay_identity_on_snapshot_loaded_engines(backend, mapped,
     for _ in range(3):
         overlay = random_overlay(rng, space)
         rebuilt = IKRQEngine(apply_closures(space, overlay), kindex)
+        rebuilt.graph.set_kernel(None)
         for query in random_queries(rng, space, kindex, ps, pt, n=2):
             for algorithm in ("ToE", "KoE", "KoE*"):
                 got = loaded.search(query, algorithm, overlay=overlay)

@@ -1,47 +1,66 @@
-"""Kernel tier bit-identity: every backend against the interpreted core.
+"""The C Dijkstra against the interpreted loop, bit for bit.
 
-The compiled kernel tier (:mod:`repro.space.kernels`) promises that
-swapping backends never changes a single answer byte.  These tests
-hold it to that across:
+Every engine attaches the compiled Dijkstra (:mod:`repro.space.kernels`)
+when ``_kernels.c`` builds and runs the interpreted loop when it does
+not; the two must never differ by a single answer byte.  These tests
+hold the C loop to that across:
 
 * raw graph state — ``dijkstra`` dist/pred maps, ``dijkstra_tree``
   buffer bytes (including visit order), route reconstruction — under
   randomized banned sets, banned partitions, target sets and bounds,
-* the skeleton lower-bound sweeps vs. the per-door interpreted calls,
 * engine-level query answers (full result signatures),
 * snapshot-loaded engines, both eager heap buffers and ``mmap``-backed
-  read-only memoryviews,
-* a fuzz sweep over randomized synthetic venues.
+  read-only memoryviews, with and without banned partitions,
+* a fuzz sweep over randomized synthetic venues,
+
+and check the selection itself: a broken compiler falls back to the
+interpreted loop, and a mapped snapshot search attaches the C loop
+without importing numpy.  The interpreted reference is reached with
+``DoorGraph.set_kernel(None)``.
 
 Fuzz failures print per-seed reproduction instructions; every fuzz
 case is reconstructible from its seed alone.
 
-Backends that are unavailable in the environment (e.g. ``native``
-without a C compiler) are skipped here — their graceful python-ward
-degradation is covered by the resolution tests, which simulate the
-absence instead of requiring it.
+Where ``_kernels.c`` cannot build (no C compiler) the ``native`` cases
+skip and the rest of the suite runs on the interpreted loop.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core import IKRQ, IKRQEngine
+from repro.dynamic import ClosureOverlay
+from repro.serve.wire import answer_to_wire, canonical_json, query_to_wire
 from repro.space import DoorGraph
-from repro.space import kernels
-from repro.space.kernels import (BACKENDS, available_backends, get_suite,
-                                 kernel_info, resolve_backend)
-from repro.space.skeleton import SkeletonIndex
+from repro.space.kernels import kernel_info, native_sssp
 from tests.conftest import random_small_space
 
 INF = math.inf
 
-AVAILABILITY = available_backends()
-#: The faster-than-interpreted backends usable in this environment.
-FAST = [name for name in ("numpy", "native") if AVAILABILITY[name] is None]
+#: The C Dijkstra, or ``None`` where ``_kernels.c`` cannot build.
+SSSP = native_sssp()
+
+
+def c_sssp():
+    """The C Dijkstra, skipping the calling test when it cannot build."""
+    if SSSP is None:
+        pytest.skip(f"C Dijkstra unavailable: {kernel_info()['unavailable']}")
+    return SSSP
+
+
+def interpreted(engine):
+    """Detach ``engine``'s C Dijkstra: the interpreted reference."""
+    engine.graph.set_kernel(None)
+    return engine
 
 
 def tree_bytes(tree):
@@ -52,6 +71,10 @@ def tree_bytes(tree):
 def answer_signatures(answers):
     return [[(tuple(repr(i) for i in r.route.items), r.route.vias,
               r.distance, r.score) for r in a.routes] for a in answers]
+
+
+def wire(answer):
+    return canonical_json(answer_to_wire(answer))
 
 
 def venues():
@@ -87,83 +110,134 @@ def random_cases(space, rng, n=30):
         yield source, banned, banned_parts, targets, bound
 
 
+def run_child(script, *args, stdin=None, env=None):
+    """Run ``script`` in a fresh interpreter; its stdout is one JSON doc."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    child_env = dict(os.environ, **(env or {}))
+    child_env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          input=stdin, capture_output=True, text=True,
+                          env=child_env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+#: Child: engine over the ``mall_fixture`` venue, answers to stdin's
+#: wire queries under every algorithm, plus the engine's kernel info.
+FALLBACK_CHILD = """
+import json, sys
+from repro.core import IKRQEngine
+from repro.datasets.synth import SynthMallConfig, build_synth_mall
+from repro.serve.wire import answer_to_wire, canonical_json, query_from_wire
+space, kindex = build_synth_mall(
+    SynthMallConfig(floors=2, rooms_per_floor=10, seed=9))
+engine = IKRQEngine(space, kindex)
+queries = [query_from_wire(d) for d in json.load(sys.stdin)]
+print(json.dumps({"info": engine.kernel_info(), "answers": [
+    canonical_json(answer_to_wire(engine.search(q, algo)))
+    for q in queries for algo in ("ToE", "KoE", "KoE*")]}))
+"""
+
+#: Child: a shard-style mapped snapshot load and one ToE search.
+MAPPED_CHILD = """
+import json, sys
+from repro.serve.snapshot import load_snapshot
+from repro.serve.wire import answer_to_wire, canonical_json, query_from_wire
+engine = load_snapshot(sys.argv[1], mmap=True)
+query = query_from_wire(json.load(sys.stdin))
+answer = canonical_json(answer_to_wire(engine.search(query, "ToE")))
+print(json.dumps({"kernel": engine.kernel_backend,
+                  "mapped": engine.mapped_bytes,
+                  "numpy": "numpy" in sys.modules,
+                  "answer": answer}))
+"""
+
+
 # ----------------------------------------------------------------------
-# Backend selection and degradation
+# Selection: the C Dijkstra when it builds, else the interpreted loop
 # ----------------------------------------------------------------------
 class TestResolution:
-    def test_default_is_python(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert resolve_backend(None) == "python"
-        assert get_suite(None).name == "python"
-
-    def test_env_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        expected = "numpy" if AVAILABILITY["numpy"] is None else "python"
-        assert resolve_backend(None) == expected
-
-    def test_auto_prefers_fastest_available(self):
-        expected = next(name for name in BACKENDS
-                        if AVAILABILITY[name] is None)
-        assert resolve_backend("auto") == expected
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend("fortran")
+    def test_default_is_python(self):
+        # Only engines attach the kernel; a bare graph is interpreted.
+        graph = DoorGraph(random_small_space(1)[0])
+        assert graph.kernel_name == "python"
+        assert graph._sssp is None
 
     def test_python_suite_has_no_hooks(self):
-        suite = get_suite("python")
-        assert suite.name == "python"
-        assert suite.sssp is None and suite.freeze is None
-        assert suite.sweep_from is None and suite.sweep_to is None
+        graph = DoorGraph(random_small_space(1)[0])
+        graph.set_kernel(c_sssp())
+        assert graph.kernel_name == "native"
+        graph.set_kernel(None)
+        assert graph.kernel_name == "python"
+        assert graph._sssp is None
 
-    def test_named_backend_degrades_python_ward(self, monkeypatch):
-        # Simulate a box with no compiled tiers at all: asking for the
-        # fastest backend by name must yield the interpreted core, not
-        # an error — the serve fleet relies on this when a container
-        # image lacks a C compiler.
-        monkeypatch.setattr(
-            kernels, "_suites", {"python": kernels._PYTHON_SUITE})
-        monkeypatch.setattr(kernels, "_unavailable", {
-            "native": "KernelUnavailable: simulated",
-            "numpy": "ImportError: simulated",
-        })
-        assert resolve_backend("native") == "python"
-        assert resolve_backend("numpy") == "python"
-        assert resolve_backend("auto") == "python"
-        info = kernel_info("native")
-        assert info["active"] == "python"
-        assert "simulated" in info["available"]["native"]
-
-    def test_native_degrades_to_numpy_first(self, monkeypatch):
-        if AVAILABILITY["numpy"] is not None:
-            pytest.skip("numpy backend unavailable")
-        monkeypatch.setattr(kernels, "_suites", {
-            "python": kernels._PYTHON_SUITE,
-            "numpy": kernels._suites["numpy"],
-        })
-        monkeypatch.setattr(kernels, "_unavailable",
-                            {"native": "KernelUnavailable: simulated"})
-        assert resolve_backend("native") == "numpy"
+    def test_engine_attaches_c_when_it_builds(self):
+        space, kindex, _, _ = random_small_space(1)
+        engine = IKRQEngine(space, kindex)
+        expected = "python" if SSSP is None else "native"
+        assert engine.kernel_backend == expected
+        assert engine.graph._sssp is SSSP
 
     def test_engine_reports_backend(self):
         space, kindex, _, _ = random_small_space(1)
         engine = IKRQEngine(space, kindex)
-        assert engine.kernel_backend == "python"
         info = engine.kernel_info()
-        assert info["active"] == "python"
-        assert set(info["available"]) == set(BACKENDS)
+        assert set(info) == {"active", "unavailable"}
+        assert info["active"] == engine.kernel_backend
+        assert (info["unavailable"] is None) == (SSSP is not None)
+        interpreted(engine)
+        assert engine.kernel_backend == "python"
+        assert engine.kernel_info()["active"] == "python"
+
+    def test_broken_compiler_falls_back_to_interpreted(self, tmp_path):
+        """No compiler and no cached build: the engine runs the
+        interpreted loop and answers byte-identically."""
+        space, kindex = mall_fixture()
+        queries = mall_queries(space, kindex, random.Random(43))
+        reference = interpreted(IKRQEngine(space, kindex))
+        expected = [wire(reference.search(q, algo))
+                    for q in queries for algo in ("ToE", "KoE", "KoE*")]
+        assert any('"routes":[{' in doc for doc in expected)
+        out = run_child(
+            FALLBACK_CHILD,
+            stdin=json.dumps([query_to_wire(q) for q in queries]),
+            env={"CC": "/nonexistent/cc",
+                 "REPRO_KERNEL_CACHE": str(tmp_path / "cache")})
+        assert out["info"]["active"] == "python"
+        assert "no C compiler" in out["info"]["unavailable"]
+        assert out["answers"] == expected
+
+    def test_mapped_snapshot_search_loads_no_numpy(self, tmp_path):
+        """A shard-style mapped load attaches the C loop and never
+        imports numpy (which would cost every shard its RSS)."""
+        c_sssp()
+        from repro.serve.snapshot import save_snapshot
+        space, kindex = mall_fixture()
+        reference = interpreted(IKRQEngine(space, kindex))
+        query = next(q for q in mall_queries(space, kindex,
+                                             random.Random(43))
+                     if reference.search(q, "ToE").routes)
+        expected = wire(reference.search(query, "ToE"))
+        path = tmp_path / "venue.snap.bin"
+        save_snapshot(path, reference, binary=True)
+        out = run_child(MAPPED_CHILD, str(path),
+                        stdin=json.dumps(query_to_wire(query)))
+        assert out["kernel"] == "native"
+        assert out["mapped"] > 0
+        assert out["numpy"] is False
+        assert out["answer"] == expected
 
 
 # ----------------------------------------------------------------------
 # Raw graph identity
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", FAST)
+@pytest.mark.parametrize("backend", ["native"])
 class TestGraphIdentity:
     def test_dijkstra_state_matches_interpreted(self, venue, backend):
         space = venue
         plain = DoorGraph(space)
         fast = DoorGraph(space)
-        fast.set_kernel(get_suite(backend))
+        fast.set_kernel(c_sssp())
         assert fast.kernel_name == backend
         rng = random.Random(23)
         for source, banned, bp, targets, bound in random_cases(space, rng):
@@ -179,7 +253,7 @@ class TestGraphIdentity:
         space = venue
         plain = DoorGraph(space)
         fast = DoorGraph(space)
-        fast.set_kernel(get_suite(backend))
+        fast.set_kernel(c_sssp())
         for source in sorted(space.doors)[::3]:
             ref = plain.dijkstra_tree(source)
             got = fast.dijkstra_tree(source)
@@ -189,7 +263,7 @@ class TestGraphIdentity:
         space = venue
         plain = DoorGraph(space)
         fast = DoorGraph(space)
-        fast.set_kernel(get_suite(backend))
+        fast.set_kernel(c_sssp())
         rng = random.Random(29)
         doors = sorted(space.doors)
         for _ in range(25):
@@ -215,7 +289,7 @@ class TestGraphIdentity:
         space = venue
         plain = DoorGraph(space)
         fast = DoorGraph(space)
-        fast.set_kernel(get_suite(backend))
+        fast.set_kernel(c_sssp())
         rng = random.Random(31)
         doors = sorted(space.doors)
         partitions = sorted(space.partitions)
@@ -257,47 +331,6 @@ class TestBannedPartitions:
 
 
 # ----------------------------------------------------------------------
-# Lower-bound sweep identity
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", FAST)
-class TestSweepIdentity:
-    def test_sweeps_match_per_door_calls(self, venue, backend):
-        space = venue
-        plain = SkeletonIndex(space)
-        fast = SkeletonIndex(space)
-        fast.set_kernel(get_suite(backend))
-        assert fast.kernel_name == backend
-        rng = random.Random(41)
-        doors = sorted(space.doors)
-        partitions = sorted(space.partitions)
-        endpoints = [rng.choice(doors) for _ in range(3)]
-        for pid in rng.sample(partitions, k=min(3, len(partitions))):
-            endpoints.append(
-                space.partition(pid).footprint.random_interior_point(rng))
-        for endpoint in endpoints:
-            ha = plain.heads(endpoint)
-            ref_from = {did: plain.lower_bound_heads(ha, plain.heads(did))
-                        for did in doors}
-            ref_to = {did: plain.lower_bound_heads(plain.heads(did), ha)
-                      for did in doors}
-            assert fast.lower_bound_sweep_from(fast.heads(endpoint)) \
-                == ref_from
-            assert fast.lower_bound_sweep_to(fast.heads(endpoint)) == ref_to
-
-    def test_detached_sweep_equals_attached(self, venue, backend):
-        space = venue
-        skeleton = SkeletonIndex(space)
-        door = sorted(space.doors)[0]
-        ha = skeleton.heads(door)
-        interpreted = skeleton.lower_bound_sweep_from(ha)
-        skeleton.set_kernel(get_suite(backend))
-        assert skeleton.lower_bound_sweep_from(ha) == interpreted
-        skeleton.set_kernel(None)
-        assert skeleton.kernel_name == "python"
-        assert skeleton.lower_bound_sweep_from(ha) == interpreted
-
-
-# ----------------------------------------------------------------------
 # Engine-level and snapshot identity
 # ----------------------------------------------------------------------
 def mall_fixture():
@@ -315,22 +348,24 @@ def mall_queries(space, kindex, rng, n=6):
         ps = space.door(rng.choice(doors)).position
         pt = space.door(rng.choice(doors)).position
         keywords = tuple(rng.sample(iwords, k=min(3, len(iwords))))
-        queries.append(IKRQ(ps=ps, pt=pt, delta=rng.uniform(60.0, 140.0),
+        queries.append(IKRQ(ps=ps, pt=pt, delta=rng.uniform(180.0, 360.0),
                             keywords=keywords, k=rng.choice((1, 3))))
     return queries
 
 
-@pytest.mark.parametrize("backend", FAST)
+@pytest.mark.parametrize("backend", ["native"])
 class TestEngineIdentity:
     def test_answers_match_interpreted_engine(self, backend):
         space, kindex = mall_fixture()
         queries = mall_queries(space, kindex, random.Random(43))
-        plain = IKRQEngine(space, kindex)
-        fast = IKRQEngine(space, kindex, kernel=backend)
+        c_sssp()
+        plain = interpreted(IKRQEngine(space, kindex))
+        fast = IKRQEngine(space, kindex)
         assert fast.kernel_backend == backend
         assert fast.kernel_info()["active"] == backend
         ref = [plain.search(q, "ToE") for q in queries]
         got = [fast.search(q, "ToE") for q in queries]
+        assert any(a.routes for a in ref)
         assert answer_signatures(got) == answer_signatures(ref)
 
     @pytest.mark.parametrize("mapped", [False, True],
@@ -338,14 +373,17 @@ class TestEngineIdentity:
     def test_snapshot_loaded_engine_matches(self, backend, mapped,
                                             tmp_path):
         from repro.serve.snapshot import load_snapshot, save_snapshot
+        c_sssp()
         space, kindex = mall_fixture()
         rng = random.Random(47)
         queries = mall_queries(space, kindex, rng)
-        plain = IKRQEngine(space, kindex)
+        plain = interpreted(IKRQEngine(space, kindex))
         ref = [plain.search(q, "ToE") for q in queries]
         path = tmp_path / "venue.snap.bin"
         save_snapshot(path, plain, binary=True)
-        loaded = load_snapshot(path, mmap=mapped, kernel=backend)
+        loaded = load_snapshot(path, mmap=mapped)
+        assert loaded.kernel_backend == backend
+        assert (loaded.mapped_bytes > 0) == mapped
         got = [loaded.search(q, "ToE") for q in queries]
         assert answer_signatures(got) == answer_signatures(ref)
         # Raw banned-set runs over the loaded buffers (read-only
@@ -357,13 +395,61 @@ class TestEngineIdentity:
             assert (loaded.graph.dijkstra(source, banned=banned)
                     == plain.graph.dijkstra(source, banned=banned))
 
+    def test_mapped_snapshot_with_banned_partitions_matches(self, backend,
+                                                            tmp_path):
+        """The C loop over read-only mapped buffers with a banned-
+        partition edge mask, against the interpreted live graph."""
+        from repro.serve.snapshot import load_snapshot, save_snapshot
+        c_sssp()
+        space, kindex = mall_fixture()
+        plain = interpreted(IKRQEngine(space, kindex))
+        path = tmp_path / "venue.snap.bin"
+        save_snapshot(path, plain, binary=True)
+        loaded = load_snapshot(path, mmap=True)
+        assert loaded.kernel_backend == backend
+        assert loaded.mapped_bytes > 0
+        rng = random.Random(53)
+        doors = sorted(space.doors)
+        partitions = sorted(space.partitions)
+        masked = 0
+        for _ in range(30):
+            source = rng.choice(doors)
+            banned = frozenset(rng.sample(doors, k=2)) - {source}
+            bp = frozenset(rng.sample(partitions, k=rng.randint(1, 3)))
+            got = loaded.graph.dijkstra(source, banned=banned,
+                                        banned_partitions=bp)
+            assert got == plain.graph.dijkstra(source, banned=banned,
+                                               banned_partitions=bp)
+            masked += got != loaded.graph.dijkstra(source, banned=banned)
+            vias = sorted(space.d2p_leave(source))
+            if vias:
+                first_via = rng.choice(vias)
+                targets = set(rng.sample(doors, k=3))
+                assert (loaded.graph.multi_target_routes(
+                            source, first_via, targets, banned_partitions=bp)
+                        == plain.graph.multi_target_routes(
+                            source, first_via, targets, banned_partitions=bp))
+        assert masked, "no banned-partition set changed a single run"
+        # Whole queries under sealed partitions (the closure overlay).
+        queries = mall_queries(space, kindex, rng)
+        nonempty = 0
+        for pid in rng.sample(partitions, k=3):
+            overlay = ClosureOverlay(sealed_partitions=frozenset({pid}))
+            for query in queries:
+                for algorithm in ("ToE", "KoE", "KoE*"):
+                    ref = plain.search(query, algorithm, overlay=overlay)
+                    got = loaded.search(query, algorithm, overlay=overlay)
+                    assert wire(got) == wire(ref)
+                    nonempty += bool(ref.routes)
+        assert nonempty
+
 
 # ----------------------------------------------------------------------
 # Fuzz sweep
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(8))
 def test_fuzz_random_venues_bit_identical(seed):
-    """Randomized venues x randomized runs, every available backend.
+    """Randomized venues x randomized runs, C against interpreted.
 
     Reproduce one failing seed with::
 
@@ -377,26 +463,21 @@ def test_fuzz_random_venues_bit_identical(seed):
 
     and replay the printed case tuple against ``DoorGraph.dijkstra``.
     """
-    if not FAST:
-        pytest.skip("no accelerated backend available")
+    sssp = c_sssp()
     space, _, _, _ = random_small_space(seed, n_rooms=4 + seed % 3)
     plain = DoorGraph(space)
-    fast_graphs = []
-    for backend in FAST:
-        g = DoorGraph(space)
-        g.set_kernel(get_suite(backend))
-        fast_graphs.append((backend, g))
+    fast = DoorGraph(space)
+    fast.set_kernel(sssp)
     rng = random.Random(1000 + seed)
     for case in random_cases(space, rng, n=20):
         source, banned, bp, targets, bound = case
         ref = plain.dijkstra(source, banned=banned,
                              targets=set(targets) if targets else None,
                              bound=bound, banned_partitions=bp)
-        for backend, g in fast_graphs:
-            got = g.dijkstra(source, banned=banned,
-                             targets=set(targets) if targets else None,
-                             bound=bound, banned_partitions=bp)
-            assert got == ref, (
-                f"kernel {backend!r} diverged on venue seed {seed}, case "
-                f"{case!r}; reproduce with random_small_space({seed}, "
-                f"n_rooms={4 + seed % 3}) and this exact case tuple")
+        got = fast.dijkstra(source, banned=banned,
+                            targets=set(targets) if targets else None,
+                            bound=bound, banned_partitions=bp)
+        assert got == ref, (
+            f"the C Dijkstra diverged on venue seed {seed}, case "
+            f"{case!r}; reproduce with random_small_space({seed}, "
+            f"n_rooms={4 + seed % 3}) and this exact case tuple")

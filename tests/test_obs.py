@@ -360,3 +360,25 @@ class TestDispatcherTracing:
             assert response["trace_id"]
             assert dispatcher.trace_buffer.get(response["trace_id"]) is None
             assert len(dispatcher.trace_buffer) == 0
+
+    def test_server_keeps_the_configured_trace_ring(self, snapshot_path,
+                                                    fig1):
+        """An empty ring is falsy (``__len__``) yet must not be swapped
+        for a default one: ``trace_buffer_size`` is honoured."""
+        from repro.serve import IKRQServer, ShardDispatcher, query_to_wire
+        query = IKRQ(ps=fig1.ps, pt=fig1.pt, delta=60.0,
+                     keywords=("latte",), k=1)
+        with IKRQServer(snapshot_path, workers=1,
+                        trace_buffer_size=3) as server:
+            server.start()
+            ring = server.dispatcher.trace_buffer
+            assert ring.capacity == 3
+            for _ in range(5):
+                response = server.dispatcher.submit(
+                    query_to_wire(query), "ToE", trace=True)
+                assert response["status"] == "ok"
+                assert ring.get(response["trace_id"]) is not None
+            assert len(ring) == 3
+            given = TraceBuffer(capacity=2)
+            assert ShardDispatcher(server.pool,
+                                   trace_buffer=given).trace_buffer is given

@@ -4,6 +4,7 @@ metrics, shard pool, HTTP surface, and the serve throughput bench."""
 from __future__ import annotations
 
 import json
+import random
 import threading
 import time
 import urllib.error
@@ -67,6 +68,19 @@ class TestWire:
     def test_query_missing_field(self):
         with pytest.raises(ValueError, match="keywords"):
             query_from_wire({"ps": [0, 0], "pt": [1, 1], "delta": 5.0})
+
+    def test_query_rejects_non_finite_numbers(self, queries):
+        base = query_to_wire(queries[0])
+        for field in ("delta", "alpha", "tau", "soft_slack", "gamma"):
+            for value in ("nan", "inf", "-inf"):
+                with pytest.raises(ValueError, match="finite"):
+                    query_from_wire(dict(base, **{field: value}))
+        for field in ("ps", "pt"):
+            with pytest.raises(ValueError, match="finite"):
+                query_from_wire(dict(base, **{field: [0.0, "nan", 0.0]}))
+        for tau in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="tau"):
+                query_from_wire(dict(base, tau=tau))
 
     def test_canonical_json_is_key_order_independent(self):
         assert (canonical_json({"b": 1, "a": [1.5]})
@@ -351,10 +365,12 @@ class TestShardPool:
             assert dispatcher.submit(None)["status"] == "bad_request"
             assert (dispatcher.submit({"ps": [0.0, 0.0]})["status"]
                     == "bad_request")
+            # An invalid query is the client's error, not the shard's.
             broken = dispatcher.submit(
                 {"ps": [0.0, 0.0], "pt": [1.0, 1.0], "delta": -5.0,
                  "keywords": ["coffee"]})
-            assert broken["status"] == "error"
+            assert broken["status"] == "bad_request"
+            assert "positive" in broken["error"]
 
     def test_stats_round_trip(self, snapshot_path, queries):
         with ShardPool(snapshot_path, shards=2) as pool:
@@ -408,6 +424,35 @@ class TestHTTPServer:
     def test_bad_request_is_400(self, server):
         code, doc = self._post(server, {"query": {"ps": [0.0, 0.0]}})
         assert code == 400 and doc["status"] == "bad_request"
+
+    def test_non_finite_numbers_are_400(self, server, queries):
+        """Seeded: NaN / ∞ as JSON tokens or strings, in any numeric
+        query field, and τ outside [0, 1] get a 400 — never ``ok`` with
+        a NaN score."""
+        rng = random.Random(61)
+        base = query_to_wire(queries[0])
+        bad = (float("nan"), float("inf"), float("-inf"),
+               "nan", "inf", "-Infinity")
+        for _ in range(24):
+            doc = json.loads(json.dumps(base))
+            field = rng.choice(("delta", "alpha", "tau", "soft_slack",
+                                "gamma", "ps", "pt"))
+            if field in ("ps", "pt"):
+                doc[field][rng.randrange(3)] = rng.choice(bad)
+            else:
+                doc[field] = rng.choice(bad + (-0.5, 1.5) if field == "tau"
+                                        else bad)
+            # json.dumps writes float NaN/∞ as the NaN/Infinity tokens.
+            code, reply = self._post(server, {"query": doc})
+            assert code == 400, (field, doc, reply)
+            assert reply["status"] == "bad_request"
+        # Strict JSON: a NaN token is refused even where no number is
+        # validated (``trace`` is only tested for truth).
+        for extra in ({"deadline_s": "nan"}, {"deadline_s": float("inf")},
+                      {"at": "inf"}, {"at": float("nan")},
+                      {"trace": float("nan")}):
+            code, reply = self._post(server, dict(extra, query=base))
+            assert code == 400 and reply["status"] == "bad_request", extra
 
     def test_non_object_body_is_400(self, server):
         code, doc = self._post(server, [1, 2, 3])
