@@ -429,11 +429,12 @@ def run_scale_size(floors: int,
             "v2-cold-started engine results differ from the live engine")
 
     n = len(stream)
-    # End-to-end replay on the interpreted loop: same stream, same
+    # End-to-end replay on the interpreted loops: same stream, same
     # warm-up, answers byte-identical to the array engine, which runs
-    # the C Dijkstra whenever it builds.
+    # the C kernels whenever they build.
     interpreted = IKRQEngine(space, kindex, door_matrix_eager=False)
     interpreted.graph.set_kernel(None)
+    interpreted.skeleton.set_kernel(None)
     for query in distinct:
         interpreted.search(query, algorithm)
     py_answers, py_s, py_lat = _timed_interleaved(

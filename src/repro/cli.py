@@ -815,8 +815,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "before it is quarantined instead of respawned")
     p.add_argument("--failover-retries", type=int, default=1,
                    help="how many sibling shards a search that hit a "
-                        "dead/timed-out shard is retried on (searches "
-                        "are pure, so retried answers are byte-identical)")
+                        "dead shard is retried on (searches are pure, so "
+                        "retried answers are byte-identical; a timed-out "
+                        "search is not retried)")
     p.add_argument("--smoke", action="store_true",
                    help="start, answer fig1 queries over HTTP per venue, "
                         "verify byte-identity across a hot-swap, /venues, "

@@ -214,12 +214,15 @@ class IKRQEngine:
         self.oracle = oracle or DistanceOracle(space)
         self.graph = graph or DoorGraph(space, self.oracle)
         self.skeleton = skeleton or SkeletonIndex(space)
-        # The C Dijkstra is attached whenever ``_kernels.c`` builds on
-        # this machine; otherwise the interpreted loop runs.  Both are
-        # bit-identical.  Injected reference graphs (the dict core kept
-        # for gating) have no kernel hook.
+        # The C Dijkstra and the C skeleton lower bound are attached
+        # whenever ``_kernels.c`` builds on this machine; otherwise the
+        # interpreted loops run.  Each pair is bit-identical.  Injected
+        # reference indexes (the dict core kept for gating) have no
+        # kernel hook.
         if hasattr(self.graph, "set_kernel"):
             self.graph.set_kernel(kernels.native_sssp())
+        if hasattr(self.skeleton, "set_kernel"):
+            self.skeleton.set_kernel(kernels.native_bounds())
         #: Whether the KoE* door matrix is filled eagerly when first
         #: requested.  The matrix itself defaults to lazy rows (the
         #: mode the paper measures against); the engine defaults to
@@ -389,9 +392,11 @@ class IKRQEngine:
         return getattr(self.graph, "kernel_name", "python")
 
     def kernel_info(self) -> Dict[str, object]:
-        """The active Dijkstra and why the C build is unavailable, if so."""
+        """The attached Dijkstra and lower bound, and why the C build
+        is unavailable, if so."""
         info = kernels.kernel_info()
         info["active"] = self.kernel_backend
+        info["lower_bound"] = getattr(self.skeleton, "kernel_name", "python")
         return info
 
     def door_matrix(self) -> DoorMatrix:

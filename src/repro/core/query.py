@@ -616,6 +616,29 @@ class QueryContext:
                 self._start_heads(), skeleton.heads(item))
         return skeleton.lower_bound(self.query.ps, item)
 
+    def prime_door_bounds(self, doors) -> None:
+        """Fill the ``|ps, d|L`` / ``|d, pt|L`` caches for ``doors``.
+
+        ToE calls this before testing a partition's leaveable doors.
+        With the C lower bound attached, one kernel call per side
+        computes every missing cross-floor bound.  The cached values
+        are exactly those :meth:`lb_from_start` / :meth:`lb_to_terminal`
+        would compute.
+        """
+        skeleton = self.skeleton
+        if not self._use_heads:
+            return
+        from_ps = self._lb_from_ps
+        missing = [door for door in doors if door not in from_ps]
+        if missing:
+            skeleton.fill_lower_bounds(self._start_heads(), True,
+                                       missing, from_ps)
+        to_pt = self._lb_to_pt
+        missing = [door for door in doors if door not in to_pt]
+        if missing:
+            skeleton.fill_lower_bounds(self._terminal_heads(), False,
+                                       missing, to_pt)
+
     def lb_via_partition(self, source: Item, pid: int) -> float:
         """``δLB(source, v, pt)`` of Pruning Rule 3 / Alg. 6 line 11."""
         if self._use_heads:
@@ -639,7 +662,7 @@ class QueryContext:
     _RELAXATION_PROBES = ("extend_to_door", "extend_along_path",
                           "complete_route")
     _LOWER_BOUND_PROBES = ("lb_to_terminal", "lb_from_start",
-                           "lb_via_partition")
+                           "lb_via_partition", "prime_door_bounds")
 
     def attach_stage_probe(self, acc: Dict[str, float]) -> None:
         """Wrap this context's stage entry points with wall-clock

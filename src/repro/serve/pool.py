@@ -30,8 +30,10 @@ replacement worker warm-restarts: it reloads every ``(venue,
 generation)`` the fleet is currently serving (snapshot cold-start is
 milliseconds) and rejoins the affinity ring only after reporting
 ready.  Searches are pure, so the dispatcher retries a ``shard_down``
-/ ``timeout`` answer on a live sibling shard — the failover answer is
-byte-identical by construction.
+answer on a live sibling shard — the failover answer is byte-identical
+by construction.  A ``timeout`` is not retried: searches are also
+deterministic, so a sibling would rerun the same slow query and double
+its cost.
 
 Admission control is explicit and tenant-aware: at most
 ``max_pending`` requests may be in flight across the pool, and each
@@ -1411,11 +1413,14 @@ class ShardDispatcher:
     response document carries ``venue`` and ``generation`` back.
 
     Failover: searches are pure, so a request whose shard answers
-    ``shard_down`` or times out is retried on the next live sibling
-    (up to ``failover_retries`` times, within the original deadline);
-    the sibling hosts the same engines, so the answer is byte-identical
-    — only cache warmth differs.  A request whose *affinity* shard is
-    already known-dead is rerouted before the first attempt.
+    ``shard_down`` is retried on the next live sibling (up to
+    ``failover_retries`` times, within the original deadline); the
+    sibling hosts the same engines, so the answer is byte-identical —
+    only cache warmth differs.  A request that times out is answered
+    ``timeout`` without a retry: the search is deterministic, so a
+    sibling would only repeat the slow evaluation.  A request whose
+    *affinity* shard is already known-dead is rerouted before the
+    first attempt.
 
     ``ingest`` is the zero-downtime hot-swap entry point (see
     :meth:`ingest`); it tolerates workers dying mid-ingest — the
@@ -1727,7 +1732,7 @@ class ShardDispatcher:
                                               timeout=timeout)
                     status = (response.get("status")
                               if isinstance(response, dict) else "error")
-                    if (status not in ("shard_down", "timeout")
+                    if (status != "shard_down"
                             or attempts >= self.failover_retries):
                         break
                     sibling = self.pool.next_live_shard(shard)

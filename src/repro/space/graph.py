@@ -166,6 +166,12 @@ class FlatTree:
     __slots__ = ("door_ids", "door_index", "dist", "pred", "pred_via",
                  "_touched")
 
+    #: Process-wide count of lazily derived ``touched`` lists.  A
+    #: :class:`DoorMatrix` compares it with the value it last saw to
+    #: know when a resident row may have grown (see
+    #: :meth:`DoorMatrix.estimated_bytes`).
+    touched_derivations = 0
+
     def __init__(self,
                  door_ids: array,
                  door_index: Dict[int, int],
@@ -194,6 +200,7 @@ class FlatTree:
             t = array("q", (idx for idx in range(len(dist))
                             if dist[idx] != INF))
             self._touched = t
+            FlatTree.touched_derivations += 1
         return t
 
     @classmethod
@@ -201,10 +208,16 @@ class FlatTree:
                        graph: "DoorGraph") -> "FlatTree":
         """Freeze the current run of ``ws`` into an immutable tree."""
         n = len(graph._door_ids)
+        touched = array("q", ws.touched)
+        if len(touched) == n:
+            # The run reached every door (``touched`` never repeats an
+            # index), so every slot of the workspace arrays holds this
+            # run's value: three slice copies equal the per-index loop.
+            return cls(graph._door_ids, graph._door_index, ws.dist[:n],
+                       ws.pred[:n], ws.pred_via[:n], touched)
         dist = array("d", [INF]) * n
         pred = array("q", [_ROOT]) * n
         pred_via = array("q", [-1]) * n
-        touched = array("q", ws.touched)
         ws_dist = ws.dist
         ws_pred = ws.pred
         ws_via = ws.pred_via
@@ -308,14 +321,17 @@ class FlatTree:
         not per-process heap)."""
         return isinstance(self.dist, memoryview)
 
+    def buffer_bytes(self) -> int:
+        """Bytes of ``dist`` / ``pred`` / ``pred_via`` (fixed for life)."""
+        return (buffer_nbytes(self.dist) + buffer_nbytes(self.pred)
+                + buffer_nbytes(self.pred_via))
+
     def estimated_bytes(self) -> int:
         # A lazily-derived ``touched`` that was never materialised
         # costs nothing; do not force it just to measure.
         t = self._touched
-        return (self.dist.itemsize * len(self.dist)
-                + self.pred.itemsize * len(self.pred)
-                + self.pred_via.itemsize * len(self.pred_via)
-                + (t.itemsize * len(t) if t is not None else 0))
+        return self.buffer_bytes() + (buffer_nbytes(t) if t is not None
+                                      else 0)
 
 
 class FlatDistMap(Mapping):
@@ -1070,6 +1086,13 @@ class DoorMatrix:
                                    if banned_partitions else None)
         self._rows: "OrderedDict[int, FlatTree]" = OrderedDict()
         self._lock = threading.Lock()
+        # Running byte count of the resident rows, kept under the lock
+        # as rows enter and leave.  Rows whose ``touched`` is still
+        # lazy are counted without it and listed in ``_lazy`` until a
+        # derivation is noticed (see :meth:`estimated_bytes`).
+        self._bytes = 0
+        self._lazy: Dict[int, FlatTree] = {}
+        self._derivations_seen = FlatTree.touched_derivations
         self.max_rows = max_rows
         self.evictions = 0
         self.spills = 0
@@ -1115,16 +1138,41 @@ class DoorMatrix:
                 banned=self._banned,
                 banned_partitions=self._banned_partitions)
         with self._lock:
-            row = self._rows.setdefault(source, row)
+            resident = self._rows.get(source)
+            if resident is None:
+                self._rows[source] = row
+                self._count_in(source, row)
+            else:
+                row = resident
             if self.max_rows is not None:
                 self._rows.move_to_end(source)
                 evicted = []
                 while len(self._rows) > self.max_rows:
-                    evicted.append(self._rows.popitem(last=False))
+                    evicted.append(self._pop_oldest())
                     self.evictions += 1
         if self.max_rows is not None:
             self._spill_evicted(evicted)
         return row
+
+    # The three helpers below run under the matrix lock.
+    def _count_in(self, source: int, tree: FlatTree) -> None:
+        touched = tree._touched
+        self._bytes += tree.buffer_bytes()
+        if touched is None:
+            self._lazy[source] = tree
+        else:
+            self._bytes += buffer_nbytes(touched)
+
+    def _count_out(self, source: int, tree: FlatTree) -> None:
+        if self._lazy.pop(source, None) is not None:
+            self._bytes -= tree.buffer_bytes()
+        else:
+            self._bytes -= tree.estimated_bytes()
+
+    def _pop_oldest(self) -> Tuple[int, FlatTree]:
+        source, tree = self._rows.popitem(last=False)
+        self._count_out(source, tree)
+        return source, tree
 
     def _spill_evicted(self, evicted) -> None:
         """Write evicted ``(source, tree)`` pairs to the disk tier.
@@ -1194,11 +1242,15 @@ class DoorMatrix:
         evicted = []
         with self._lock:
             for source, tree in trees.items():
+                replaced = self._rows.get(source)
+                if replaced is not None:
+                    self._count_out(source, replaced)
                 self._rows[source] = tree
+                self._count_in(source, tree)
                 self._rows.move_to_end(source)
                 if self.max_rows is not None:
                     while len(self._rows) > self.max_rows:
-                        evicted.append(self._rows.popitem(last=False))
+                        evicted.append(self._pop_oldest())
         self._spill_evicted(evicted)
 
     def preload_rows(self,
@@ -1212,12 +1264,25 @@ class DoorMatrix:
             for source, (dist, pred) in rows.items()))
 
     def estimated_bytes(self) -> int:
-        """Rough memory footprint of the cached rows (for Fig. 14)."""
-        total = 0
+        """Rough memory footprint of the cached rows (for Fig. 14).
+
+        Equal to the sum of the resident rows' ``estimated_bytes``,
+        read from the running count instead of a walk.  A row whose
+        ``touched`` was lazy when it entered grows if that list is
+        derived later; the lazy rows are re-checked only when the
+        process-wide derivation count has moved, so the usual call
+        costs one comparison.
+        """
         with self._lock:
-            for tree in self._rows.values():
-                total += tree.estimated_bytes()
-        return total
+            derivations = FlatTree.touched_derivations
+            if derivations != self._derivations_seen:
+                self._derivations_seen = derivations
+                for source, tree in list(self._lazy.items()):
+                    touched = tree._touched
+                    if touched is not None:
+                        self._bytes += buffer_nbytes(touched)
+                        del self._lazy[source]
+            return self._bytes
 
     @property
     def spill_path(self) -> Optional[str]:

@@ -40,6 +40,14 @@ class IndoorSpace:
         self._staircase_doors_by_floor: Dict[int, List[int]] = {}
         self._build_staircase_index()
 
+        # Point location buckets: ``Rect.contains`` rejects every
+        # footprint whose ``int(level)`` differs from the point's, so
+        # scanning one floor's bucket finds exactly the hits a scan of
+        # every partition would.
+        self._partitions_by_floor: Dict[int, List[Partition]] = {}
+        for part in self._partitions.values():
+            self._partitions_by_floor.setdefault(
+                int(part.footprint.level), []).append(part)
         self._host_cache: Dict[Point, Partition] = {}
 
     # ------------------------------------------------------------------
@@ -139,7 +147,8 @@ class IndoorSpace:
         cached = self._host_cache.get(p)
         if cached is not None:
             return cached
-        hits = [part for part in self._partitions.values() if part.contains(p)]
+        floor = self._partitions_by_floor.get(int(p.level), ())
+        hits = [part for part in floor if part.contains(p)]
         if not hits:
             raise ValueError(f"point {p} is not inside any partition")
         best = min(hits, key=lambda part: (part.footprint.area, part.pid))

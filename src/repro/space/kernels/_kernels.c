@@ -1,17 +1,19 @@
-/* Native CSR Dijkstra kernel for the repro kernel tier.
+/* Native kernels for the repro kernel tier: the CSR Dijkstra and,
+ * at the end of this file, the skeleton lower bound.
  *
- * A statement-for-statement transcription of the interpreted loop in
- * repro/space/graph.py: the same epoch-versioned workspace arrays,
- * the same strict-improvement relaxation, the same (d, u) heap order.
- * A binary heap pops the minimum of its contents under the total
- * order (d, u), and the interpreted algorithm depends only on the
- * popped *values* (never on heap internals), so any correct heap —
- * including this one — yields the identical settle sequence, and
- * `nd = d + wt[k]` is the identical IEEE double addition.  Build with
- * plain -O2 (no -ffast-math): x86-64 / AArch64 double arithmetic then
- * matches CPython's bit for bit.
+ * The Dijkstra is a statement-for-statement transcription of the
+ * interpreted loop in repro/space/graph.py: the same epoch-versioned
+ * workspace arrays, the same strict-improvement relaxation, the same
+ * (d, u) heap order.  A binary heap pops the minimum of its contents
+ * under the total order (d, u), and the interpreted algorithm depends
+ * only on the popped *values* (never on heap internals), so any
+ * correct heap — including this one — yields the identical settle
+ * sequence, and `nd = d + wt[k]` is the identical IEEE double
+ * addition.  Build with plain -O2 (no -ffast-math): x86-64 / AArch64
+ * double arithmetic then matches CPython's bit for bit.
  */
 
+#include <math.h>
 #include <stdint.h>
 
 typedef struct {
@@ -155,4 +157,66 @@ int64_t repro_dijkstra(
         }
     }
     return n_touched;
+}
+
+/* The skeleton lower bound |a, b|L of two staircase attachments: a
+ * transcription of the cross-floor double loop of
+ * SkeletonIndex.lower_bound_heads in repro/space/skeleton.py.  An
+ * attachment is one buffer of `count` stair rows (int64) followed by
+ * their `count` head distances (double), head-ascending.  The sums are
+ * `(head + s2s[row_a * n + row_b]) + tail`, left to right as in
+ * Python, and the outer loop takes the same head-ascending `break`.
+ * Additions alone cannot be contracted into a fused multiply-add, so
+ * under plain -O2 every double rounds as CPython's does and the bound
+ * is bit-identical.  An empty attachment yields +inf, as in Python.
+ * `s2s` is the row-major n x n δs2s table, read in place (heap array
+ * or mapped snapshot).
+ */
+static double lower_bound(const double *s2s, int64_t n,
+                          const int64_t *a, int64_t count_a,
+                          const int64_t *b, int64_t count_b)
+{
+    double best = INFINITY;
+    if (count_a == 0 || count_b == 0)
+        return best;
+    const double *heads_a = (const double *)(a + count_a);
+    const double *tails_b = (const double *)(b + count_b);
+    for (int64_t i = 0; i < count_a; i++) {
+        double head = heads_a[i];
+        if (head >= best)
+            break; /* head-ascending: the rest is dominated */
+        const double *row = s2s + a[i] * n;
+        for (int64_t j = 0; j < count_b; j++) {
+            double total = head + row[b[j]] + tails_b[j];
+            if (total < best)
+                best = total;
+        }
+    }
+    return best;
+}
+
+double repro_lower_bound(const double *s2s, int64_t n,
+                         const int64_t *a, int64_t count_a,
+                         const int64_t *b, int64_t count_b)
+{
+    return lower_bound(s2s, n, a, count_a, b, count_b);
+}
+
+/* Batched form: the bound between one fixed attachment and each of
+ * `m` others.  `items` holds one (buffer address, count) pair per
+ * attachment; with `fixed_is_a` the fixed attachment is the `a` side
+ * (|fixed, item|L), else the `b` side (|item, fixed|L).
+ */
+void repro_lower_bounds(const double *s2s, int64_t n,
+                        const int64_t *fixed, int64_t fixed_count,
+                        int64_t fixed_is_a, const int64_t *items,
+                        int64_t m, double *out)
+{
+    for (int64_t k = 0; k < m; k++) {
+        const int64_t *item = (const int64_t *)(intptr_t)items[2 * k];
+        int64_t count = items[2 * k + 1];
+        out[k] = fixed_is_a
+            ? lower_bound(s2s, n, fixed, fixed_count, item, count)
+            : lower_bound(s2s, n, item, count, fixed, fixed_count);
+    }
 }

@@ -1,4 +1,4 @@
-"""The C Dijkstra: best-effort build, ctypes dispatch, no numpy.
+"""The C kernels: best-effort build, ctypes dispatch, no numpy.
 
 ``_kernels.c`` is compiled on first use with the system C compiler
 (``$CC`` or ``cc``) into a content-addressed shared object under a
@@ -9,11 +9,13 @@ dependency.  When no compiler is present (or the build fails)
 :func:`library` raises :class:`KernelUnavailable` and engines run the
 interpreted loop; nothing in the serving or query path requires it.
 
-The C loop is a transcription of the interpreted Dijkstra (see the
-comment in ``_kernels.c`` for the bit-identity argument).  Buffers are
-passed by address: ``array`` objects report theirs directly, and
-read-only ``memoryview`` slices of an ``mmap``-ed snapshot are
-addressed through the CPython buffer protocol, without a copy.
+The library holds two transcriptions of interpreted loops: the
+Dijkstra (:func:`sssp`) and the skeleton lower bound
+(:class:`SkeletonBounds`); the comments in ``_kernels.c`` carry their
+bit-identity arguments.  Buffers are passed by address: ``array``
+objects report theirs directly, and read-only ``memoryview`` slices
+of an ``mmap``-ed snapshot are addressed through the CPython buffer
+protocol, without a copy.
 """
 
 from __future__ import annotations
@@ -67,6 +69,14 @@ def _build() -> ctypes.CDLL:
         ctypes.c_void_p] * 4 + [ctypes.c_int64, ctypes.c_int64,
         ctypes.c_double, ctypes.c_int64, ctypes.c_void_p,
         ctypes.c_int64, ctypes.c_void_p]
+    lib.repro_lower_bound.restype = ctypes.c_double
+    lib.repro_lower_bound.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+    lib.repro_lower_bounds.restype = None
+    lib.repro_lower_bounds.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
     return lib
 
 
@@ -213,3 +223,39 @@ def sssp(graph, ws, seeds, banned, banned_partitions, targets, bound,
     if count < 0:  # pragma: no cover - capacity is provably sufficient
         raise RuntimeError("native kernel heap overflow")
     ws.touched.extend(scratch.touched[:count])
+
+
+class SkeletonBounds:
+    """The C skeleton lower bound over one δs2s table.
+
+    ``s2s`` is the skeleton's row-major table — an ``array`` or a
+    read-only ``memoryview`` of a mapped snapshot — addressed in place
+    and kept alive here.  Attachments pass the address and stair
+    count of their packed buffer (see
+    :data:`repro.space.skeleton.Attachment`); ``one`` is the C
+    single-pair entry point, which the skeleton calls inline.
+    """
+
+    __slots__ = ("s2s", "addr", "n", "one", "many")
+
+    def __init__(self, s2s, n: int) -> None:
+        self.s2s = s2s
+        self.addr = _addr(s2s)
+        self.n = n
+        self.one = _lib.repro_lower_bound
+        self.many = _lib.repro_lower_bounds
+
+    def bounds(self, fixed_addr: int, fixed_count: int, fixed_is_a: bool,
+               items: array) -> array:
+        """The bound between one attachment and each of ``items``.
+
+        ``items`` concatenates the other attachments' ``(address,
+        count)`` pairs; with ``fixed_is_a`` the fixed attachment is the
+        ``a`` side.
+        """
+        m = len(items) // 2
+        out = array("d", bytes(8 * m))
+        self.many(self.addr, self.n, fixed_addr, fixed_count,
+                  int(fixed_is_a), items.buffer_info()[0], m,
+                  out.buffer_info()[0])
+        return out

@@ -42,12 +42,16 @@ Item = Union[int, Point]
 
 #: A precomputed attachment over the staircase doors of the item's
 #: floor: ``(position, floor, level, [(row, head), ...],
-#: [(row * n, head), ...])``.  Floor and level ride along so the
-#: same-floor check costs tuple loads instead of property calls; the
-#: second pair list carries the premultiplied δs2s row base for the
-#: outer loop of :meth:`SkeletonIndex.lower_bound_heads`.
+#: [(row * n, head), ...], address, packed)``.  Floor and level ride
+#: along so the same-floor check costs tuple loads instead of property
+#: calls; the second pair list carries the premultiplied δs2s row base
+#: for the outer loop of :meth:`SkeletonIndex.lower_bound_heads`.
+#: ``packed`` is the buffer the C bound reads: the pairs' stair rows,
+#: then their heads as raw doubles, in the same head-ascending order;
+#: ``address`` is its base address.
 Attachment = Tuple[Point, int, float,
-                   List[Tuple[int, float]], List[Tuple[int, float]]]
+                   List[Tuple[int, float]], List[Tuple[int, float]],
+                   int, array]
 
 _sqrt = math.sqrt
 
@@ -108,6 +112,9 @@ class SkeletonIndex:
         # items then enter the lower-bound double loop with *no*
         # per-call sqrt at all.
         self._door_heads: Dict[int, "Attachment"] = {}
+        # The C lower bound (see :meth:`set_kernel`), or ``None`` for
+        # the interpreted double loop.
+        self._bounds = None
 
     @classmethod
     def from_precomputed(cls,
@@ -154,11 +161,28 @@ class SkeletonIndex:
 
     def _set_s2s(self, s2s: array) -> None:
         self._s2s = s2s
-        # List mirror for the query loop: list indexing hands out the
-        # already-boxed floats, where ``array('d')`` would box a fresh
-        # float object per access.  The array remains the canonical
-        # (exported, snapshot-packed) representation.
-        self._s2s_hot = list(s2s)
+        # List mirror for the interpreted loop, built on its first
+        # use: list indexing hands out the already-boxed floats, where
+        # ``array('d')`` would box a fresh float object per access.
+        # The array remains the canonical (exported, snapshot-packed)
+        # representation, and the only one the C bound reads.
+        self._s2s_hot = None
+
+    def set_kernel(self, bounds) -> None:
+        """Attach the C lower bound, or detach it with ``None``.
+
+        ``bounds`` is :func:`repro.space.kernels.native_bounds`'s
+        factory; engines attach it when the kernel library builds.
+        It reads the δs2s table in place.  Both loops are
+        bit-identical, so attaching or detaching never changes a bound.
+        """
+        self._bounds = (None if bounds is None
+                        else bounds(self._s2s, len(self._stair_doors)))
+
+    @property
+    def kernel_name(self) -> str:
+        """``native`` with the C lower bound attached, else ``python``."""
+        return "python" if self._bounds is None else "native"
 
     def export(self) -> Dict[str, list]:
         """JSON-serialisable ``(stair_doors, s2s)`` snapshot payload.
@@ -272,7 +296,10 @@ class SkeletonIndex:
         pairs.sort(key=lambda pair: pair[1])
         n = len(self._stair_doors)
         based = [(ia * n, head) for ia, head in pairs]
-        attachment = (pos, pos.floor, pos.level, pairs, based)
+        packed = array("q", [ia for ia, _ in pairs])
+        packed.frombytes(array("d", [head for _, head in pairs]).tobytes())
+        attachment = (pos, pos.floor, pos.level, pairs, based,
+                      packed.buffer_info()[0], packed)
         if isinstance(x, int):
             self._door_heads[x] = attachment
         return attachment
@@ -299,13 +326,19 @@ class SkeletonIndex:
 
     def lower_bound_heads(self, ha: Attachment, hb: Attachment) -> float:
         """``|a, b|L`` from two precomputed attachments."""
-        a, floor_a, level_a, _, based_a = ha
-        b, floor_b, level_b, pairs_b, _ = hb
+        a, floor_a, level_a, _, based_a, addr_a, _ = ha
+        b, floor_b, level_b, pairs_b, _, addr_b, _ = hb
         if floor_a == floor_b or _levels_touch(level_a, level_b):
             return a.distance_to(b)
         if not based_a or not pairs_b:
             return INF
+        bounds = self._bounds
+        if bounds is not None:
+            return bounds.one(bounds.addr, bounds.n, addr_a, len(based_a),
+                              addr_b, len(pairs_b))
         s2s = self._s2s_hot
+        if s2s is None:
+            s2s = self._s2s_hot = list(self._s2s)
         best = INF
         for base, head in based_a:
             if head >= best:
@@ -315,6 +348,42 @@ class SkeletonIndex:
                 if total < best:
                     best = total
         return best
+
+    def fill_lower_bounds(self, fixed: Attachment, fixed_is_a: bool,
+                          doors, out: dict) -> None:
+        """Store the bound between ``fixed`` and each door in ``out``.
+
+        ``out[d]`` becomes ``lower_bound_heads(fixed, heads(d))`` with
+        ``fixed_is_a``, else ``lower_bound_heads(heads(d), fixed)`` —
+        the same value, computed the same way: same-floor doors take
+        the Euclidean distance here, and one call of the C bound
+        covers every cross-floor door.  Without the kernel attached
+        each door takes :meth:`lower_bound_heads`.
+        """
+        heads = self._heads
+        bounds = self._bounds
+        if bounds is None:
+            lbh = self.lower_bound_heads
+            for door in doors:
+                out[door] = (lbh(fixed, heads(door)) if fixed_is_a
+                             else lbh(heads(door), fixed))
+            return
+        pos, floor, level, pairs, _, addr, _ = fixed
+        batch = []
+        items = array("q")
+        for door in doors:
+            h = heads(door)
+            if h[1] == floor or _levels_touch(level, h[2]):
+                out[door] = (pos.distance_to(h[0]) if fixed_is_a
+                             else h[0].distance_to(pos))
+                continue
+            batch.append(door)
+            items.append(h[5])
+            items.append(len(h[3]))
+        if batch:
+            values = bounds.bounds(addr, len(pairs), fixed_is_a, items)
+            for door, value in zip(batch, values):
+                out[door] = value
 
     @staticmethod
     def _touching_levels(a: Point, b: Point) -> bool:

@@ -137,6 +137,32 @@ class TestCrashFailover:
 
 
 @pytest.mark.slow
+class TestNoRetryOnTimeout:
+    def test_timed_out_search_is_not_rerun_on_a_sibling(
+            self, snapshot_path, query_doc):
+        # The affinity shard stalls past the request's deadline (the
+        # stall detector is off, so it is slow, not dead).  Searches
+        # are deterministic: a sibling would only repeat the slow
+        # evaluation, so the dispatcher answers without a failover.
+        affinity = shard_for(query_doc["ps"], query_doc["pt"], 2)
+        sibling = 1 - affinity
+        plan = FaultPlan().stall(affinity, index=0, seconds=4.0)
+        pool = _fast_pool(snapshot_path, plan, heartbeat_timeout=0.0)
+        try:
+            dispatcher = ShardDispatcher(pool, failover_retries=1)
+            response = dispatcher.submit(query_doc, deadline_s=0.2)
+            assert response["status"] in ("timeout", "expired")
+            assert response["shard"] == affinity
+            assert dispatcher.failovers == 0
+            stats = pool.call(sibling, {"kind": "stats"}, timeout=30.0)
+            assert stats["status"] == "ok"
+            assert stats["stats"]["queries_served"] == 0
+            assert stats["stats"]["answer_misses"] == 0
+        finally:
+            pool.close()
+
+
+@pytest.mark.slow
 class TestQuarantine:
     def test_crash_loop_exhausts_budget_and_quarantines(
             self, snapshot_path, engine, query_doc):

@@ -194,3 +194,93 @@ class TestDoorMatrix:
         # of self-distance instead.
         d1 = fig1.did("d1")
         assert matrix.distance(d1, d1) == 0.0
+
+
+# ----------------------------------------------------------------------
+# Workspace ``touched`` and the tree freeze
+# ----------------------------------------------------------------------
+def _kernel_graphs(space):
+    """The interpreted graph, plus the C one where the kernel builds."""
+    from repro.space.kernels import native_sssp
+    graphs = [("python", DoorGraph(space))]
+    sssp = native_sssp()
+    if sssp is not None:
+        native = DoorGraph(space)
+        native.set_kernel(sssp)
+        graphs.append(("native", native))
+    return graphs
+
+
+def _loop_freeze(ws, graph):
+    """The per-index freeze, kept verbatim as the bulk copy's oracle."""
+    from array import array
+    from repro.space.graph import FlatTree, _ROOT
+    n = len(graph._door_ids)
+    dist = array("d", [INF]) * n
+    pred = array("q", [_ROOT]) * n
+    pred_via = array("q", [-1]) * n
+    touched = array("q", ws.touched)
+    for idx in touched:
+        dist[idx] = ws.dist[idx]
+        pred[idx] = ws.pred[idx]
+        pred_via[idx] = ws.pred_via[idx]
+    return FlatTree(graph._door_ids, graph._door_index,
+                    dist, pred, pred_via, touched)
+
+
+def _tree_bytes(tree):
+    return (bytes(tree.dist), bytes(tree.pred), bytes(tree.pred_via),
+            bytes(tree.touched))
+
+
+@pytest.fixture(scope="module")
+def mall_space():
+    from repro.datasets.synth import SynthMallConfig, build_synth_mall
+    space, _ = build_synth_mall(
+        SynthMallConfig(floors=3, rooms_per_floor=10, seed=5))
+    return space
+
+
+class TestTouchedAndFreeze:
+    def test_touched_is_duplicate_free(self, mall_space):
+        """The bulk-copy freeze relies on it: ``len(touched) == n``
+        must mean every door was reached."""
+        import random
+        from repro.space.graph import FlatTree
+        rng = random.Random(61)
+        doors = sorted(mall_space.doors)
+        partitions = sorted(mall_space.partitions)
+        for name, graph in _kernel_graphs(mall_space):
+            ws = graph.new_workspace()
+            full = 0
+            for _ in range(30):
+                bound = rng.choice((INF, rng.uniform(5.0, 60.0)))
+                graph.dijkstra_tree(rng.choice(doors), bound=bound,
+                                    workspace=ws)
+                assert len(ws.touched) == len(set(ws.touched)), name
+                full += len(ws.touched) == graph.num_nodes
+                pid = rng.choice(partitions)
+                p = mall_space.partition(pid).footprint.center
+                graph.distances_from_point(p, bound=bound, workspace=ws)
+                assert len(ws.touched) == len(set(ws.touched)), name
+                tree = FlatTree.from_workspace(ws, graph)
+                assert _tree_bytes(tree) == _tree_bytes(
+                    _loop_freeze(ws, graph)), name
+            assert full, f"no {name} run reached every door"
+
+    def test_bulk_freeze_equals_loop_freeze(self, mall_space):
+        for name, graph in _kernel_graphs(mall_space):
+            ws = graph.new_workspace()
+            for did in sorted(mall_space.doors)[::7]:
+                # A bounded run first leaves stale slots behind.
+                graph.dijkstra_tree(did, bound=10.0, workspace=ws)
+                tree = graph.dijkstra_tree(did, workspace=ws)
+                assert len(tree.touched) == graph.num_nodes, name
+                assert _tree_bytes(tree) == _tree_bytes(
+                    _loop_freeze(ws, graph)), name
+            p = mall_space.partition(
+                sorted(mall_space.partitions)[0]).footprint.center
+            host, dist, pred = graph.point_attachment_map(p, workspace=ws)
+            assert len(dist) == graph.num_nodes
+            assert _tree_bytes(dist._tree) == _tree_bytes(
+                _loop_freeze(ws, graph)), name

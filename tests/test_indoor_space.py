@@ -1,5 +1,7 @@
 """Tests for the indoor space model: entities, builder, topology."""
 
+import random
+
 import pytest
 
 from repro.geometry import Point, Rect
@@ -167,3 +169,91 @@ class TestMultiFloorTopology:
     def test_num_floors_two(self, tower):
         space, _ = tower
         assert space.num_floors == 2
+
+
+# ----------------------------------------------------------------------
+# Point location: floor buckets against the linear scan
+# ----------------------------------------------------------------------
+def linear_host(space, p):
+    """The point-location oracle: scan every partition.
+
+    ``host_partition`` before it bucketed partitions by floor, kept
+    verbatim as the reference.
+    """
+    hits = [part for part in space.partitions.values() if part.contains(p)]
+    if not hits:
+        raise ValueError(f"point {p} is not inside any partition")
+    return min(hits, key=lambda part: (part.footprint.area, part.pid))
+
+
+def location_venues():
+    from repro.datasets import paper_fig1
+    from repro.datasets.synth import SynthMallConfig, build_synth_mall
+    from repro.dynamic import ClosureOverlay
+    from repro.dynamic.overlay import apply_closures
+    mall, _ = build_synth_mall(
+        SynthMallConfig(floors=3, rooms_per_floor=10, seed=5))
+    doors = sorted(mall.doors)
+    partitions = sorted(mall.partitions)
+    overlay = ClosureOverlay(closed_doors=frozenset(doors[::9]),
+                             sealed_partitions=frozenset(partitions[::11]))
+    return [("fig1", paper_fig1().space), ("mall3", mall),
+            ("mall3-closures", apply_closures(mall, overlay))]
+
+
+def probe_points(space, rng):
+    """Interior, wall, corner, door, staircase and outside points."""
+    points = []
+    levels = sorted({part.footprint.level
+                     for part in space.partitions.values()})
+    for part in space.partitions.values():
+        rect = part.footprint
+        points.append(rect.random_interior_point(rng, margin=0.0))
+        # Corners and wall midpoints: shared walls and touching
+        # footprints, where several partitions contain the point.
+        points.extend(rect.corners())
+        mid_x = (rect.x_min + rect.x_max) / 2.0
+        mid_y = (rect.y_min + rect.y_max) / 2.0
+        points.extend(Point(x, y, rect.level) for x, y in (
+            (rect.x_min, mid_y), (rect.x_max, mid_y),
+            (mid_x, rect.y_min), (mid_x, rect.y_max)))
+        if part.kind is PartitionKind.STAIRCASE:
+            # A half-level point truncates onto the staircase's floor.
+            points.append(Point(mid_x, mid_y, rect.level + 0.5))
+    # Door positions lie on shared walls; staircase doors sit at
+    # half levels.
+    points.extend(door.position for door in space.doors.values())
+    # Outside every partition: far off the plan, above the top floor,
+    # below the ground floor.
+    for _ in range(20):
+        points.append(Point(rng.uniform(1e4, 2e4), rng.uniform(-5, 5),
+                            rng.choice(levels)))
+    points.append(Point(1.0, 1.0, max(levels) + 3.0))
+    points.append(Point(1.0, 1.0, -2.0))
+    rng.shuffle(points)
+    return points
+
+
+@pytest.mark.parametrize("venue", location_venues(), ids=lambda v: v[0])
+def test_bucketed_point_location_matches_linear_scan(venue):
+    name, space = venue
+    rng = random.Random(sum(map(ord, name)))
+    ties = stairs = outside = 0
+    for p in probe_points(space, rng):
+        try:
+            expected = linear_host(space, p)
+        except ValueError:
+            outside += 1
+            with pytest.raises(ValueError):
+                space.host_partition(p)
+            continue
+        got = space.host_partition(p)
+        assert got.pid == expected.pid, (name, p)
+        # A second lookup is served from the point cache.
+        assert space.host_partition(p) is got
+        ties += sum(part.contains(p)
+                    for part in space.partitions.values()) > 1
+        stairs += expected.kind is PartitionKind.STAIRCASE
+    # Non-vacuous: the tie-break, staircases and misses all ran.
+    assert ties and outside
+    assert stairs or not space.staircase_partitions()

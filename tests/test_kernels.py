@@ -1,9 +1,9 @@
-"""The C Dijkstra against the interpreted loop, bit for bit.
+"""The C kernels against the interpreted loops, bit for bit.
 
-Every engine attaches the compiled Dijkstra (:mod:`repro.space.kernels`)
-when ``_kernels.c`` builds and runs the interpreted loop when it does
-not; the two must never differ by a single answer byte.  These tests
-hold the C loop to that across:
+Every engine attaches the compiled Dijkstra and skeleton lower bound
+(:mod:`repro.space.kernels`) when ``_kernels.c`` builds and runs the
+interpreted loops when it does not; the two must never differ by a
+single answer byte.  These tests hold the C Dijkstra to that across:
 
 * raw graph state — ``dijkstra`` dist/pred maps, ``dijkstra_tree``
   buffer bytes (including visit order), route reconstruction — under
@@ -13,10 +13,13 @@ hold the C loop to that across:
   read-only memoryviews, with and without banned partitions,
 * a fuzz sweep over randomized synthetic venues,
 
-and check the selection itself: a broken compiler falls back to the
-interpreted loop, and a mapped snapshot search attaches the C loop
-without importing numpy.  The interpreted reference is reached with
-``DoorGraph.set_kernel(None)``.
+and hold the C lower bound to it on seeded attachment pairs (heap and
+mapped δs2s tables, empty attachments, both entry points) and on
+engine answers.  They also check the selection itself: a broken
+compiler falls back to both interpreted loops, and a mapped snapshot
+search attaches the C loop without importing numpy.  The interpreted
+references are reached with ``DoorGraph.set_kernel(None)`` and
+``SkeletonIndex.set_kernel(None)``.
 
 Fuzz failures print per-seed reproduction instructions; every fuzz
 case is reconstructible from its seed alone.
@@ -33,15 +36,17 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import repro
 from repro.core import IKRQ, IKRQEngine
 from repro.dynamic import ClosureOverlay
+from repro.geometry import Point
 from repro.serve.wire import answer_to_wire, canonical_json, query_to_wire
 from repro.space import DoorGraph
-from repro.space.kernels import kernel_info, native_sssp
+from repro.space.kernels import kernel_info, native_bounds, native_sssp
 from tests.conftest import random_small_space
 
 INF = math.inf
@@ -58,8 +63,9 @@ def c_sssp():
 
 
 def interpreted(engine):
-    """Detach ``engine``'s C Dijkstra: the interpreted reference."""
+    """Detach ``engine``'s C kernels: the interpreted reference."""
     engine.graph.set_kernel(None)
+    engine.skeleton.set_kernel(None)
     return engine
 
 
@@ -133,9 +139,12 @@ space, kindex = build_synth_mall(
     SynthMallConfig(floors=2, rooms_per_floor=10, seed=9))
 engine = IKRQEngine(space, kindex)
 queries = [query_from_wire(d) for d in json.load(sys.stdin)]
-print(json.dumps({"info": engine.kernel_info(), "answers": [
-    canonical_json(answer_to_wire(engine.search(q, algo)))
-    for q in queries for algo in ("ToE", "KoE", "KoE*")]}))
+answers = [canonical_json(answer_to_wire(engine.search(q, algo)))
+           for q in queries for algo in ("ToE", "KoE", "KoE*")]
+# The interpreted lower bound builds its δs2s list mirror on first use.
+print(json.dumps({"info": engine.kernel_info(), "answers": answers,
+                  "interpreted_bound_ran":
+                      engine.skeleton._s2s_hot is not None}))
 """
 
 #: Child: a shard-style mapped snapshot load and one ToE search.
@@ -182,12 +191,15 @@ class TestResolution:
         space, kindex, _, _ = random_small_space(1)
         engine = IKRQEngine(space, kindex)
         info = engine.kernel_info()
-        assert set(info) == {"active", "unavailable"}
+        assert set(info) == {"active", "lower_bound", "unavailable"}
         assert info["active"] == engine.kernel_backend
+        assert info["lower_bound"] == engine.skeleton.kernel_name
+        assert info["lower_bound"] == info["active"]
         assert (info["unavailable"] is None) == (SSSP is not None)
         interpreted(engine)
         assert engine.kernel_backend == "python"
         assert engine.kernel_info()["active"] == "python"
+        assert engine.kernel_info()["lower_bound"] == "python"
 
     def test_broken_compiler_falls_back_to_interpreted(self, tmp_path):
         """No compiler and no cached build: the engine runs the
@@ -204,7 +216,9 @@ class TestResolution:
             env={"CC": "/nonexistent/cc",
                  "REPRO_KERNEL_CACHE": str(tmp_path / "cache")})
         assert out["info"]["active"] == "python"
+        assert out["info"]["lower_bound"] == "python"
         assert "no C compiler" in out["info"]["unavailable"]
+        assert out["interpreted_bound_ran"]
         assert out["answers"] == expected
 
     def test_mapped_snapshot_search_loads_no_numpy(self, tmp_path):
@@ -441,6 +455,150 @@ class TestEngineIdentity:
                     got = loaded.search(query, algorithm, overlay=overlay)
                     assert wire(got) == wire(ref)
                     nonempty += bool(ref.routes)
+        assert nonempty
+
+
+# ----------------------------------------------------------------------
+# The C skeleton lower bound
+# ----------------------------------------------------------------------
+def c_bounds():
+    """The C lower-bound factory, skipping when it cannot build."""
+    c_sssp()
+    return native_bounds()
+
+
+def bound_bits(value):
+    return float(value).hex()
+
+
+def attachment_items(space, rng, n=40):
+    """Seeded doors and free points over every floor, plus a point on
+    a floor without staircases (an empty attachment)."""
+    doors = sorted(space.doors)
+    partitions = sorted(space.partitions)
+    items = rng.sample(doors, k=min(n, len(doors)))
+    for _ in range(n // 2):
+        part = space.partition(rng.choice(partitions))
+        items.append(part.footprint.random_interior_point(rng))
+    top = max(p.footprint.level for p in space.partitions.values())
+    items.append(Point(1.0, 1.0, top + 5.0))
+    return items
+
+
+class TestLowerBoundIdentity:
+    @pytest.mark.parametrize("mapped", [False, True], ids=["heap", "mmap"])
+    def test_bounds_match_interpreted_bit_for_bit(self, mapped, tmp_path):
+        from repro.serve.snapshot import load_snapshot, save_snapshot
+        from repro.datasets.synth import SynthMallConfig, build_synth_mall
+        bounds = c_bounds()
+        space, kindex = build_synth_mall(
+            SynthMallConfig(floors=4, rooms_per_floor=10, seed=9))
+        engine = IKRQEngine(space, kindex)
+        if mapped:
+            path = tmp_path / "venue.snap.bin"
+            save_snapshot(path, engine, binary=True)
+            engine = load_snapshot(path, mmap=True)
+            assert isinstance(engine.skeleton._s2s, memoryview)
+        skeleton = engine.skeleton
+        assert skeleton.kernel_name == "native"
+        rng = random.Random(59)
+        items = attachment_items(space, rng)
+        heads = [skeleton.heads(item) for item in items]
+        assert not heads[-1][3], "the last item must have no stair rows"
+        pairs = [(rng.randrange(len(heads)), rng.randrange(len(heads)))
+                 for _ in range(3000)]
+        pairs += [(len(heads) - 1, i) for i in range(0, len(heads), 5)]
+        pairs += [(i, len(heads) - 1) for i in range(0, len(heads), 5)]
+        native = [skeleton.lower_bound_heads(heads[i], heads[j])
+                  for i, j in pairs]
+        via_pids = rng.sample(sorted(space.partitions), k=15)
+        native_via = [skeleton.lower_bound_via_partition_heads(
+            heads[i], pid, heads[j]) for i, j in pairs[:60]
+            for pid in via_pids[:3]]
+        skeleton.set_kernel(None)
+        assert skeleton.kernel_name == "python"
+        ref = [skeleton.lower_bound_heads(heads[i], heads[j])
+               for i, j in pairs]
+        ref_via = [skeleton.lower_bound_via_partition_heads(
+            heads[i], pid, heads[j]) for i, j in pairs[:60]
+            for pid in via_pids[:3]]
+        assert list(map(bound_bits, native)) == list(map(bound_bits, ref))
+        assert (list(map(bound_bits, native_via))
+                == list(map(bound_bits, ref_via)))
+        # Non-vacuous: finite cross-floor bounds and empty-attachment
+        # infinities both occurred.
+        cross = [v for (i, j), v in zip(pairs, ref)
+                 if heads[i][1] != heads[j][1] and v != INF]
+        assert cross and INF in ref
+        # The batched entry point fills the same values either way
+        # round.
+        skeleton.set_kernel(bounds)
+        doors = [item for item in items if isinstance(item, int)]
+        for fixed in (heads[-1], heads[len(doors)], heads[len(doors) + 1]):
+            for fixed_is_a in (True, False):
+                batch = {}
+                skeleton.fill_lower_bounds(fixed, fixed_is_a, doors, batch)
+                skeleton.set_kernel(None)
+                one = {}
+                skeleton.fill_lower_bounds(fixed, fixed_is_a, doors, one)
+                expected = {
+                    d: skeleton.lower_bound_heads(fixed, skeleton.heads(d))
+                    if fixed_is_a else
+                    skeleton.lower_bound_heads(skeleton.heads(d), fixed)
+                    for d in doors}
+                skeleton.set_kernel(bounds)
+                assert ({d: bound_bits(v) for d, v in batch.items()}
+                        == {d: bound_bits(v) for d, v in one.items()}
+                        == {d: bound_bits(v) for d, v in expected.items()})
+
+    def test_engine_answers_match_with_bound_detached(self):
+        """Kernel attached vs detached under sealed-partition
+        overlays, on every algorithm."""
+        c_bounds()
+        space, kindex = mall_fixture()
+        rng = random.Random(67)
+        queries = mall_queries(space, kindex, rng, n=5)
+        assert any(q.ps.floor != q.pt.floor for q in queries)
+        fast = IKRQEngine(space, kindex)
+        plain = IKRQEngine(space, kindex)
+        plain.skeleton.set_kernel(None)
+        assert plain.kernel_info()["lower_bound"] == "python"
+        assert fast.kernel_info()["lower_bound"] == "native"
+        nonempty = 0
+        overlays = [None] + [
+            ClosureOverlay(sealed_partitions=frozenset({pid}))
+            for pid in rng.sample(sorted(space.partitions), k=2)]
+        for overlay in overlays:
+            for query in queries:
+                for algorithm in ("ToE", "KoE", "KoE*"):
+                    ref = plain.search(query, algorithm, overlay=overlay)
+                    got = fast.search(query, algorithm, overlay=overlay)
+                    assert wire(got) == wire(ref)
+                    nonempty += bool(ref.routes)
+        assert nonempty
+
+    def test_new_pair_answers_like_a_seen_pair(self):
+        """A (ps, pt) first seen answers byte-identically to the same
+        query served after its endpoint entry was cached."""
+        from repro.core.engine import QueryService
+        space, kindex = mall_fixture()
+        engine = IKRQEngine(space, kindex)
+        rng = random.Random(71)
+        queries = mall_queries(space, kindex, rng, n=6)
+        iwords = sorted(kindex.iwords)
+        nonempty = 0
+        for query in queries:
+            for algorithm in ("ToE", "KoE", "KoE*"):
+                fresh = QueryService(engine, workers=1)
+                new_pair = fresh.search(query, algorithm)
+                warmed = QueryService(engine, workers=1)
+                other = tuple(rng.sample(iwords, k=2))
+                warmed.search(replace(query, keywords=other), algorithm)
+                seen_pair = warmed.search(query, algorithm)
+                assert warmed.stats.point_map_hits == 1
+                assert fresh.stats.point_map_hits == 0
+                assert wire(seen_pair) == wire(new_pair)
+                nonempty += bool(new_pair.routes)
         assert nonempty
 
 

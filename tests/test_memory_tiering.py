@@ -216,6 +216,79 @@ class TestSpillTier:
 
 
 # ----------------------------------------------------------------------
+# The running byte count
+# ----------------------------------------------------------------------
+def walked_bytes(matrix):
+    """What ``estimated_bytes`` used to return: a walk of every row."""
+    return sum(tree.estimated_bytes() for tree in matrix._rows.values())
+
+
+def assert_count_matches_walk(matrix):
+    walk = walked_bytes(matrix)
+    assert matrix.estimated_bytes() == walk
+    counters = matrix.memory_counters()
+    assert counters["resident_rows"] == len(matrix._rows)
+    assert (counters["resident_heap_bytes"]
+            + counters["resident_mapped_bytes"]) == walk
+
+
+class TestRunningByteCount:
+    def test_count_follows_builds_evictions_spills_and_derivations(
+            self, fig1_engine, tmp_path):
+        graph = fig1_engine.graph
+        matrix = DoorMatrix(graph, max_rows=3,
+                            spill_path=tmp_path / "count.rows")
+        assert matrix.estimated_bytes() == 0
+        doors = sorted(fig1_engine.space.doors)
+        # Lazy builds, then LRU evictions that spill to disk.
+        for did in doors[:3]:
+            matrix.distance(did, doors[0])
+            assert_count_matches_walk(matrix)
+        for did in doors[3:8]:
+            matrix.distance(did, doors[0])
+            assert_count_matches_walk(matrix)
+        assert matrix.evictions > 0 and matrix.spills > 0
+        # Faulted back from the spill file: ``touched`` is lazy.
+        hits = matrix.spill_hits
+        matrix.distance(doors[0], doors[1])
+        assert matrix.spill_hits == hits + 1
+        faulted = matrix._rows[doors[0]]
+        assert faulted._touched is None
+        assert_count_matches_walk(matrix)
+        # Deriving ``touched`` after insertion grows the row.
+        before = matrix.estimated_bytes()
+        assert len(faulted.touched) > 0
+        assert matrix.estimated_bytes() > before
+        assert_count_matches_walk(matrix)
+        # The grown row leaves the count exactly when evicted.
+        for did in doors[8:12]:
+            matrix.distance(did, doors[0])
+            assert_count_matches_walk(matrix)
+        assert doors[0] not in matrix._rows
+
+    def test_count_follows_preloads(self, warm_engine, aligned_path):
+        # Mapped warm rows enter with a lazy ``touched``.
+        engine = load_snapshot(aligned_path, mmap=True)
+        matrix = engine._matrix
+        assert matrix.num_cached_rows() > 0
+        assert all(tree.is_mapped() and tree._touched is None
+                   for tree in matrix._rows.values())
+        assert_count_matches_walk(matrix)
+        # Dict-shaped export derives every ``touched``.
+        matrix.warm_rows()
+        assert_count_matches_walk(matrix)
+        # Preloads over resident rows replace them in the count, and
+        # a budgeted preload evicts.
+        heap_rows = warm_engine.door_matrix().warm_trees()
+        matrix.preload_trees(heap_rows)
+        assert_count_matches_walk(matrix)
+        budgeted = DoorMatrix(warm_engine.graph, max_rows=2)
+        budgeted.preload_trees(heap_rows)
+        assert budgeted.num_cached_rows() == 2
+        assert_count_matches_walk(budgeted)
+
+
+# ----------------------------------------------------------------------
 # Generation GC
 # ----------------------------------------------------------------------
 class TestGenerationGC:

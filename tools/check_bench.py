@@ -58,6 +58,8 @@ REQUIRED_KEYS: Dict[str, Tuple[str, ...]] = {
              "slo_gates_met", "zero_non_shed_failures",
              "surge_recovered", "surge_overlay_identical",
              "verified_identical"),
+    # Appended by tools/record_bench.py from a perfbench/run.py run.
+    "perfbench": ("result", "cores", "git_rev", "why"),
 }
 
 #: Keys every phase record of a soak entry must carry for the run to
