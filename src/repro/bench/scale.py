@@ -135,9 +135,10 @@ def _stage_breakdown(engine: IKRQEngine, stream, algorithm: str) -> Dict:
     route-growing work: the graph's batch Dijkstra entry point
     (matrix rows, KoE* continuations, connect) plus the per-door
     ``extend_to_door`` extension ToE relaxes edges with.
-    "Lower-bound" is the Rule 1-4 work: the context's
-    ``lb_to_terminal`` / ``lb_from_start`` plus the skeleton's
-    entry points underneath (a shared reentrancy guard keeps nested
+    "Lower-bound" is the Rule 1-4 work: the context's lower-bound
+    entry points (``QueryContext._LOWER_BOUND_PROBES``, the dense
+    per-endpoint fill included) plus the skeleton's entry points
+    underneath (a shared reentrancy guard keeps nested
     calls from double-counting).  Everything neither stage covers —
     stamp/heap bookkeeping, route merging, ranking — lands in
     ``merge_s``.  Instrumentation is instance-local and removed
@@ -182,8 +183,8 @@ def _stage_breakdown(engine: IKRQEngine, stream, algorithm: str) -> Dict:
     def instrumented_context(query, **kwargs):
         ctx = orig_context(query, **kwargs)
         ctx.extend_to_door = _timed(ctx.extend_to_door, "relaxation_s")
-        ctx.lb_to_terminal = _timed(ctx.lb_to_terminal, "lower_bound_s")
-        ctx.lb_from_start = _timed(ctx.lb_from_start, "lower_bound_s")
+        for name in ctx._LOWER_BOUND_PROBES:
+            setattr(ctx, name, _timed(getattr(ctx, name), "lower_bound_s"))
         return ctx
 
     engine.context = instrumented_context

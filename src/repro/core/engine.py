@@ -246,16 +246,17 @@ class IKRQEngine:
         #: whose words cannot all be interned) — pure in the same
         #: inputs, backing the route-word masks carried on routes.
         self._door_iword_masks: Dict[int, int] = {}
-        #: Engine-wide per-endpoint skeleton lower-bound maps (the
-        #: ``|ps, d|L`` / ``|d, pt|L`` caches of Pruning Rules 1–4),
-        #: LRU-bounded by endpoint.  The maps are pure in the space and
-        #: the endpoint — the batched ``QueryService`` has always
-        #: shared them per ``(ps, pt)`` pair; holding them here extends
-        #: the same exact reuse to bare sequential ``search`` traffic,
-        #: which in practice repeats endpoints (kiosks, app sessions).
+        #: Engine-wide per-endpoint skeleton lower bounds (the dense
+        #: ``|ps, d|L`` / ``|d, pt|L`` arrays of Pruning Rules 1–4, in
+        #: one-slot lists the first query context fills), LRU-bounded
+        #: by endpoint.  The arrays are pure in the space and the
+        #: endpoint — the batched ``QueryService`` shares them per
+        #: ``(ps, pt)`` pair; holding them here extends the same exact
+        #: reuse to bare sequential ``search`` traffic, which in
+        #: practice repeats endpoints (kiosks, app sessions).
         self.endpoint_lb_capacity = 256
-        self._lb_from_cache: "OrderedDict[Point, dict]" = OrderedDict()
-        self._lb_to_cache: "OrderedDict[Point, dict]" = OrderedDict()
+        self._lb_from_cache: "OrderedDict[Point, list]" = OrderedDict()
+        self._lb_to_cache: "OrderedDict[Point, list]" = OrderedDict()
         self._lb_lock = threading.Lock()
         #: Per-overlay derived state (edited topology view, oracle,
         #: keyword caches, KoE* matrix), LRU-keyed by the overlay's
@@ -269,12 +270,12 @@ class IKRQEngine:
         self._overlay_lock = threading.Lock()
 
     def _endpoint_lb(self,
-                     table: "OrderedDict[Point, dict]",
-                     endpoint: Point) -> dict:
+                     table: "OrderedDict[Point, list]",
+                     endpoint: Point) -> list:
         with self._lb_lock:
             cached = table.get(endpoint)
             if cached is None:
-                cached = table[endpoint] = {}
+                cached = table[endpoint] = [None]
             table.move_to_end(endpoint)
             while len(table) > self.endpoint_lb_capacity:
                 table.popitem(last=False)
@@ -617,11 +618,9 @@ class QueryService:
       immutable and shared, while each worker thread owns one reusable
       epoch-versioned Dijkstra workspace,
     * an LRU keyed on ``(ps, pt)`` caches per-endpoint state — the
-      unbounded start-point attachment tree (serving every
-      first-expansion continuation without a Dijkstra run), the
       terminal-side attachment map of ``pt`` used by the connect
-      step's completion pre-check, and the skeleton lower-bound maps
-      of Pruning Rules 1–4,
+      step's completion pre-check, and the dense skeleton lower-bound
+      arrays ``|ps, d|L`` / ``|d, pt|L`` of Pruning Rules 1–4,
     * an LRU keyed on ``(QW, τ)`` reuses converted query keywords, and
       one shared door-i-word cache is populated once per space,
     * an answer LRU serves repeated identical ``(query, algorithm)``
@@ -656,9 +655,10 @@ class QueryService:
         self.stats = ServiceStats()
         self._tls = threading.local()
         self._lock = threading.Lock()
-        #: (ps, pt) -> {"start_map": (host, dist, pred),
-        #:              "terminal_attach": {door: |door, pt|E},
-        #:              "lb_from_ps": {...}, "lb_to_pt": {...}}
+        #: (ps, pt) -> {"terminal_attach": {door: |door, pt|E},
+        #:              "lb_from_ps": [bounds], "lb_to_pt": [bounds]}
+        #: where each bounds slot holds the endpoint's dense skeleton
+        #: lower bounds (``None`` until the first query fills it).
         self._point_maps: "OrderedDict[Tuple[Point, Point], dict]" = OrderedDict()
         self._keyword_cache: "OrderedDict[Tuple[Tuple[str, ...], float], QueryKeywords]" = OrderedDict()
         self._answer_cache: "OrderedDict[tuple, QueryAnswer]" = OrderedDict()
@@ -676,7 +676,7 @@ class QueryService:
     #: The ``SearchStats`` picks exported per venue on ``/metrics``.
     SEARCH_COUNTERS: Tuple[str, ...] = (
         "expansions", "connects", "dijkstra_calls",
-        "point_cache_hits", "precomputed_hits", "precomputed_misses",
+        "precomputed_hits", "precomputed_misses",
         "matrix_evictions", "pruned_total",
     )
 
@@ -693,10 +693,9 @@ class QueryService:
     def _endpoint_entry(self, ps: Point, pt: Point,
                         overlay: Optional[ClosureOverlay] = None) -> dict:
         # The entry key carries the overlay's canonical identity: the
-        # start-point attachment tree and the terminal attachment map
-        # both depend on which doors are traversable, so a closure must
-        # never be answered from a pre-closure cached entry
-        # (tests/test_dynamic.py pins the regression).
+        # terminal attachment map depends on which doors are open, so
+        # a closure must never be answered from a pre-closure cached
+        # entry (tests/test_dynamic.py pins the regression).
         key = ((ps, pt) if overlay is None
                else (ps, pt, overlay.key()))
         with self._lock:
@@ -708,21 +707,13 @@ class QueryService:
             self.stats.add(point_map_misses=1)
         # Compute outside the lock (a concurrent miss on the same key
         # computes the same values; last write wins harmlessly).
-        if overlay is None:
-            space = self.engine.space
-            start_map = self.engine.graph.point_attachment_map(
-                ps, workspace=self._workspace())
-        else:
-            space = self.engine.overlay_state(overlay).view
-            start_map = self.engine.graph.point_attachment_map(
-                ps, workspace=self._workspace(),
-                banned=overlay.closed_doors,
-                banned_partitions=overlay.sealed_partitions or None)
+        space = (self.engine.space if overlay is None
+                 else self.engine.overlay_state(overlay).view)
         v_pt = space.host_partition(pt).pid
         terminal_attach = {door: space.door(door).position.distance_to(pt)
                            for door in space.p2d_enter(v_pt)}
-        entry = {"start_map": start_map, "terminal_attach": terminal_attach,
-                 "lb_from_ps": {}, "lb_to_pt": {}}
+        entry = {"terminal_attach": terminal_attach,
+                 "lb_from_ps": [None], "lb_to_pt": [None]}
         with self._lock:
             entry = self._point_maps.setdefault(key, entry)
             self._point_maps.move_to_end(key)
@@ -818,7 +809,6 @@ class QueryService:
         ctx.share_caches(
             lb_from_ps=entry["lb_from_ps"],
             lb_to_pt=entry["lb_to_pt"],
-            start_map=entry["start_map"],
             terminal_attach=entry["terminal_attach"])
         if overlay is None:
             # Under an overlay the context already shares the overlay

@@ -86,16 +86,12 @@ class ContinuationProvider:
     ``tail`` whose first segment traverses ``first_via`` and that
     avoids every banned door.  The default implementation runs the
     unified CSR Dijkstra on the fly (reusing the query's workspace, so
-    repeated calls allocate no per-node state); KoE* substitutes a
-    precomputed matrix, and batched execution may serve start-point
-    continuations from a shared attachment map.
+    repeated calls allocate no per-node state), bounded by the
+    continuation's budget; KoE* substitutes a precomputed matrix.
 
     A closure overlay (``ctx.closed_doors`` / ``ctx.sealed_partitions``)
     joins the banned arguments here — the route-level ``banned`` set
-    keeps its own meaning (doors already on the route), including in
-    the start-map cache gate, which stays aligned with a from-scratch
-    engine because an overlay context's start map is itself computed
-    with the overlay's banned sets.
+    keeps its own meaning (doors already on the route).
     """
 
     def nonloop(self,
@@ -108,24 +104,13 @@ class ContinuationProvider:
         ctx = search.ctx
         closed = ctx.closed_doors
         sealed = ctx.sealed_partitions or None
-        if isinstance(tail, int):
-            search.stats.dijkstra_calls += 1
-            return ctx.graph.multi_target_routes(
-                tail, first_via, targets,
-                banned=(banned | closed if closed else banned),
-                bound=budget, workspace=ctx.workspace,
-                banned_partitions=sealed)
-        cached = ctx.cached_point_routes(
-            tail, first_via, targets, banned, budget)
-        if cached is not None:
-            search.stats.point_cache_hits += 1
-            return cached
         search.stats.dijkstra_calls += 1
-        return ctx.graph.routes_from_point(
-            tail, first_via, targets,
-            banned=(banned | closed if closed else banned),
-            bound=budget, workspace=ctx.workspace,
-            banned_partitions=sealed)
+        routes = (ctx.graph.multi_target_routes if isinstance(tail, int)
+                  else ctx.graph.routes_from_point)
+        return routes(tail, first_via, targets,
+                      banned=(banned | closed if closed else banned),
+                      bound=budget, workspace=ctx.workspace,
+                      banned_partitions=sealed)
 
 
 class ExpansionStrategy:

@@ -23,7 +23,7 @@ from repro.geometry import Point
 from repro.keywords.matching import QueryKeywords
 from repro.keywords.mappings import KeywordIndex
 from repro.space.distances import DistanceOracle
-from repro.space.graph import DijkstraWorkspace, DoorGraph, reconstruct_route
+from repro.space.graph import DijkstraWorkspace, DoorGraph
 from repro.space.indoor_space import IndoorSpace
 from repro.space.skeleton import SkeletonIndex
 from repro.core.route import Item, Route
@@ -169,9 +169,14 @@ class QueryContext:
         self.doors_valid: Set[int] = set()
         self.doors_pruned: Set[int] = set()
 
-        # Per-door skeleton lower-bound caches (hot path of Rules 1-4).
-        self._lb_to_pt: dict = {}
-        self._lb_from_ps: dict = {}
+        # Dense skeleton lower bounds (hot path of Rules 1-4):
+        # ``|ps, d|L`` and ``|d, pt|L`` of every door, indexed by the
+        # graph's dense door index.  Each side lives in a one-slot list
+        # that a batching layer may share per endpoint; the first door
+        # bound read fills both (:meth:`fill_door_bounds`).
+        self._door_index = self.graph._door_index
+        self._lb_from_ps_slot: list = [None]
+        self._lb_to_pt_slot: list = [None]
         self._door_iwords: dict = {}
         # Interned bitmask mirror of the door i-word sets (-1 marks a
         # door whose words the index cannot intern exactly).  Routes
@@ -189,9 +194,6 @@ class QueryContext:
         self._use_heads = getattr(self.skeleton, "supports_heads", False)
         self._ps_heads = None
         self._pt_heads = None
-        # Optional start-point attachment tree (host pid, dist, pred)
-        # shared across queries with the same ps by QueryService.
-        self._start_map: Optional[tuple] = None
         # Terminal-side attachment map of pt: per enterable door of
         # v(pt), the straight-line completion cost |d, pt|E used by the
         # connect step's budget pre-check.  Computed lazily per query;
@@ -199,31 +201,28 @@ class QueryContext:
         self._terminal_attach: Optional[Dict[int, float]] = None
 
     def share_caches(self,
-                     lb_from_ps: Optional[dict] = None,
-                     lb_to_pt: Optional[dict] = None,
+                     lb_from_ps: Optional[list] = None,
+                     lb_to_pt: Optional[list] = None,
                      door_iwords: Optional[dict] = None,
-                     start_map: Optional[tuple] = None,
                      terminal_attach: Optional[Dict[int, float]] = None,
                      door_iword_masks: Optional[dict] = None) -> None:
         """Adopt caches shared across queries by a batching layer.
 
         Every shared structure must hold exactly the values this
-        context would compute itself (the lower-bound maps are pure in
-        ``ps`` / ``pt``, the door i-words are pure in the space and
-        keyword index, and the start map is the unbounded
-        point-attachment tree of ``ps``) — sharing changes no
+        context would compute itself (the lower-bound slots hold the
+        dense bounds of ``ps`` / ``pt``, or ``None`` until the first
+        context that reads them fills them; the door i-words are pure
+        in the space and keyword index) — sharing changes no
         behaviour, it only avoids recomputation.
         """
         if lb_from_ps is not None:
-            self._lb_from_ps = lb_from_ps
+            self._lb_from_ps_slot = lb_from_ps
         if lb_to_pt is not None:
-            self._lb_to_pt = lb_to_pt
+            self._lb_to_pt_slot = lb_to_pt
         if door_iwords is not None:
             self._door_iwords = door_iwords
         if door_iword_masks is not None:
             self._door_iword_masks = door_iword_masks
-        if start_map is not None:
-            self._start_map = start_map
         if terminal_attach is not None:
             self._terminal_attach = terminal_attach
 
@@ -245,35 +244,6 @@ class QueryContext:
                       for door in space.p2d_enter(self.v_pt)}
             self._terminal_attach = attach
         return attach
-
-    def cached_point_routes(self,
-                            p: Point,
-                            first_via: int,
-                            targets: Set[int],
-                            banned: FrozenSet[int],
-                            budget: float) -> Optional[dict]:
-        """Point continuations served from the shared start map.
-
-        Usable only for the exact case the map captures — the start
-        point with an empty banned set, leaving its host partition —
-        where the unbounded tree restricted to within-budget targets
-        equals a fresh bounded run.  Returns ``None`` otherwise, and
-        the caller falls back to the unified Dijkstra.
-        """
-        cached = self._start_map
-        if cached is None or banned:
-            return None
-        host_pid, dist, pred = cached
-        if first_via != host_pid or p != self.query.ps:
-            return None
-        routes = {}
-        for target in targets:
-            d = dist.get(target)
-            if d is None or d > budget:
-                continue
-            doors, vias = reconstruct_route(pred, None, target)
-            routes[target] = (doors, vias, d)
-        return routes
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -580,77 +550,91 @@ class QueryContext:
             heads = self._ps_heads = self.skeleton.heads(self.query.ps)
         return heads
 
+    def fill_door_bounds(self) -> Tuple[Sequence[float], Sequence[float]]:
+        """``(|ps, d|L, |d, pt|L)`` of every door, by dense door index.
+
+        Each side is computed once per endpoint — one skeleton
+        :meth:`~repro.space.skeleton.SkeletonIndex.door_bounds` call,
+        a single C call with the kernel attached — and kept in its
+        (possibly shared) slot; concurrent fills store equal values.
+        """
+        from_ps = self._lb_from_ps_slot[0]
+        if from_ps is None:
+            from_ps = self._lb_from_ps_slot[0] = self.skeleton.door_bounds(
+                self.query.ps, True, self.graph._door_ids)
+        to_pt = self._lb_to_pt_slot[0]
+        if to_pt is None:
+            to_pt = self._lb_to_pt_slot[0] = self.skeleton.door_bounds(
+                self.query.pt, False, self.graph._door_ids)
+        return from_ps, to_pt
+
     def lb_to_terminal(self, item: Item) -> float:
-        """``|x, pt|L`` (cached per door)."""
-        skeleton = self.skeleton
+        """``|x, pt|L``."""
         if isinstance(item, int):
-            cached = self._lb_to_pt.get(item)
-            if cached is None:
-                if self._use_heads:
-                    cached = skeleton.lower_bound_heads(
-                        skeleton.heads(item), self._terminal_heads())
-                else:
-                    cached = skeleton.lower_bound(item, self.query.pt)
-                self._lb_to_pt[item] = cached
-            return cached
+            to_pt = self._lb_to_pt_slot[0]
+            if to_pt is None:
+                to_pt = self.fill_door_bounds()[1]
+            return to_pt[self._door_index[item]]
+        skeleton = self.skeleton
         if self._use_heads:
             return skeleton.lower_bound_heads(
                 skeleton.heads(item), self._terminal_heads())
         return skeleton.lower_bound(item, self.query.pt)
 
     def lb_from_start(self, item: Item) -> float:
-        """``|ps, x|L`` (cached per door)."""
-        skeleton = self.skeleton
+        """``|ps, x|L``."""
         if isinstance(item, int):
-            cached = self._lb_from_ps.get(item)
-            if cached is None:
-                if self._use_heads:
-                    cached = skeleton.lower_bound_heads(
-                        self._start_heads(), skeleton.heads(item))
-                else:
-                    cached = skeleton.lower_bound(self.query.ps, item)
-                self._lb_from_ps[item] = cached
-            return cached
+            from_ps = self._lb_from_ps_slot[0]
+            if from_ps is None:
+                from_ps = self.fill_door_bounds()[0]
+            return from_ps[self._door_index[item]]
+        skeleton = self.skeleton
         if self._use_heads:
             return skeleton.lower_bound_heads(
                 self._start_heads(), skeleton.heads(item))
         return skeleton.lower_bound(self.query.ps, item)
 
-    def prime_door_bounds(self, doors) -> None:
-        """Fill the ``|ps, d|L`` / ``|d, pt|L`` caches for ``doors``.
-
-        ToE calls this before testing a partition's leaveable doors.
-        With the C lower bound attached, one kernel call per side
-        computes every missing cross-floor bound.  The cached values
-        are exactly those :meth:`lb_from_start` / :meth:`lb_to_terminal`
-        would compute.
-        """
-        skeleton = self.skeleton
-        if not self._use_heads:
-            return
-        from_ps = self._lb_from_ps
-        missing = [door for door in doors if door not in from_ps]
-        if missing:
-            skeleton.fill_lower_bounds(self._start_heads(), True,
-                                       missing, from_ps)
-        to_pt = self._lb_to_pt
-        missing = [door for door in doors if door not in to_pt]
-        if missing:
-            skeleton.fill_lower_bounds(self._terminal_heads(), False,
-                                       missing, to_pt)
-
     def lb_via_partition(self, source: Item, pid: int) -> float:
-        """``δLB(source, v, pt)`` of Pruning Rule 3 / Alg. 6 line 11."""
-        if self._use_heads:
+        """``δLB(source, v, pt)`` of Pruning Rule 3 / Alg. 6 line 11.
+
+        The minimum over enterable doors ``di`` and leaveable doors
+        ``dj`` of ``v`` of ``|source, di|L + |di, dj|E + |dj, pt|L``
+        (zero middle term when ``di == dj``), over the doors of the
+        query's space view: under a closure overlay only open doors
+        count.  The tails come from the dense ``|d, pt|L`` array, and
+        so do the heads when ``source`` is ``ps``; a door source
+        attaches to each ``di`` through the skeleton.  Same values,
+        same ``(head + mid) + tail`` sums as
+        :meth:`~repro.space.skeleton.SkeletonIndex.lower_bound_via_partition_heads`.
+        """
+        if not self._use_heads:
+            return self.skeleton.lower_bound_via_partition(
+                source, pid, self.query.pt)
+        from_ps, to_pt = self.fill_door_bounds()
+        index = self._door_index
+        space = self.space
+        door = space.door
+        leave = [(dj, door(dj).position, to_pt[index[dj]])
+                 for dj in space.p2d_leave(pid)]
+        from_start = source is self.query.ps
+        if not from_start:
             skeleton = self.skeleton
-            if source is self.query.ps:
-                hs = self._start_heads()
-            else:
-                hs = skeleton.heads(source)
-            return skeleton.lower_bound_via_partition_heads(
-                hs, pid, self._terminal_heads(), space=self.space)
-        return self.skeleton.lower_bound_via_partition(
-            source, pid, self.query.pt)
+            heads = skeleton.heads
+            lbh = skeleton.lower_bound_heads
+            hs = heads(source)
+        best = INF
+        for di in space.p2d_enter(pid):
+            head = (from_ps[index[di]] if from_start
+                    else lbh(hs, heads(di)))
+            if head >= best:
+                continue
+            pos_i = door(di).position
+            for dj, pos_j, tail in leave:
+                mid = 0.0 if di == dj else pos_i.distance_to(pos_j)
+                total = head + mid + tail
+                if total < best:
+                    best = total
+        return best
 
     # ------------------------------------------------------------------
     # Stage instrumentation (tracing)
@@ -662,7 +646,7 @@ class QueryContext:
     _RELAXATION_PROBES = ("extend_to_door", "extend_along_path",
                           "complete_route")
     _LOWER_BOUND_PROBES = ("lb_to_terminal", "lb_from_start",
-                           "lb_via_partition", "prime_door_bounds")
+                           "lb_via_partition", "fill_door_bounds")
 
     def attach_stage_probe(self, acc: Dict[str, float]) -> None:
         """Wrap this context's stage entry points with wall-clock
@@ -672,10 +656,10 @@ class QueryContext:
         Instance-local: only this context is instrumented, engine- and
         space-level shared objects are untouched, so concurrent
         untraced queries pay nothing.  A shared reentrancy guard keeps
-        nested entry points (none today, but the split must stay
-        honest under refactors) from double-counting.  The wrappers
-        only time — arguments and results pass through unchanged, so
-        answers are bit-identical with the probe attached.
+        nested entry points (the dense fill runs inside the first bound
+        read) from double-counting.  The wrappers only time —
+        arguments and results pass through unchanged, so answers are
+        bit-identical with the probe attached.
         """
         depth = [0]
         perf_counter = time.perf_counter

@@ -33,9 +33,6 @@ class SearchStats:
     dijkstra_calls: int = 0
     precomputed_hits: int = 0
     precomputed_misses: int = 0
-    #: Continuations served from a QueryService point-attachment map
-    #: instead of a fresh Dijkstra run.
-    point_cache_hits: int = 0
     #: Rows the (memory-budgeted) KoE* door matrix has evicted so far.
     matrix_evictions: int = 0
 
@@ -91,7 +88,6 @@ class SearchStats:
             "connects": self.connects,
             "complete_routes": self.complete_routes,
             "dijkstra_calls": self.dijkstra_calls,
-            "point_cache_hits": self.point_cache_hits,
             "matrix_evictions": self.matrix_evictions,
             "pruned_rule1": self.pruned_rule1,
             "pruned_rule2": self.pruned_rule2,

@@ -69,10 +69,6 @@ class TopologyOrientedExpansion(ExpansionStrategy):
         kbound = search.kbound if use_kbound else -INF
         leaveable = ctx.space.p2d_leave(vi)
         expansions = len(leaveable)
-        if use_distance:
-            # Rules 1 and 2 read both skeleton bounds of nearly every
-            # leaveable door: compute the missing ones in one batch.
-            ctx.prime_door_bounds(leaveable)
         for dl in leaveable:
             # Regularity (Algorithm 2 line 5): a door already on the
             # route may only be appended as an immediate repetition of

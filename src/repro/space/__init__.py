@@ -13,8 +13,7 @@ from repro.space.indoor_space import IndoorSpace
 from repro.space.builder import IndoorSpaceBuilder
 from repro.space.distances import DistanceOracle
 from repro.space.graph import (DijkstraWorkspace, DoorGraph, DoorMatrix,
-                              FlatDistMap, FlatPredMap, FlatTree,
-                              reconstruct_route)
+                              FlatTree, reconstruct_route)
 from repro.space.skeleton import SkeletonIndex
 from repro.space.elevators import add_elevator_shaft
 from repro.space.serialize import (
@@ -29,8 +28,6 @@ __all__ = [
     "DijkstraWorkspace",
     "DoorGraph",
     "DoorMatrix",
-    "FlatDistMap",
-    "FlatPredMap",
     "FlatTree",
     "reconstruct_route",
     "DistanceOracle",

@@ -102,6 +102,20 @@ class DictQueryKeywords(QueryKeywords):
         return self.relevance_from_sims(sims)
 
 
+class _LazyBounds(dict):
+    """Dense door index -> bound, each computed on its first read."""
+
+    __slots__ = ("_bound",)
+
+    def __init__(self, bound) -> None:
+        super().__init__()
+        self._bound = bound
+
+    def __missing__(self, k: int) -> float:
+        value = self[k] = self._bound(k)
+        return value
+
+
 # ----------------------------------------------------------------------
 # Skeleton: nested-list δs2s table
 # ----------------------------------------------------------------------
@@ -148,6 +162,14 @@ class DictSkeletonIndex(SkeletonIndex):
                 if total < best:
                     best = total
         return best
+
+    def door_bounds(self, endpoint, endpoint_is_a, door_ids):
+        """The legacy per-door bound, computed on first read of a slot."""
+        if endpoint_is_a:
+            return _LazyBounds(lambda k: self.lower_bound(endpoint,
+                                                          door_ids[k]))
+        return _LazyBounds(lambda k: self.lower_bound(door_ids[k],
+                                                      endpoint))
 
     def lower_bound_via_partition(self, xs, pid, xt) -> float:
         space = self._space
@@ -348,13 +370,6 @@ class DictDoorGraph(DoorGraph):
         host = self._space.host_partition(p)
         dist, _ = self._point_run(p, host.pid, set(), None, bound)
         return dist
-
-    def point_attachment_map(self, p, workspace=None,
-                             banned=None, banned_partitions=None):
-        host = self._space.host_partition(p)
-        dist, pred = self._point_run(p, host.pid, set(banned or ()),
-                                     None, INF, banned_partitions)
-        return host.pid, dist, pred
 
     def point_to_point_distance(self, ps, pt, bound=INF, workspace=None):
         space = self._space

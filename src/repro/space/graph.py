@@ -28,13 +28,10 @@ Route reconstruction is one shared predecessor walk
 result structures walk their dense predecessor arrays directly.
 
 Results that outlive a workspace — the all-pairs rows of
-:class:`DoorMatrix` and the per-endpoint attachment trees the batched
-``QueryService`` caches — are frozen into :class:`FlatTree` objects:
-three flat typed arrays (``dist``/``pred``/``pred_via``) over dense
-door indices instead of two Python dicts, cutting both the per-row
-memory and the per-lookup cost.  :class:`FlatDistMap` /
-:class:`FlatPredMap` adapt a tree to the read-only mapping interface
-dict-based callers consume, so the migration changes no behaviour.
+:class:`DoorMatrix` — are frozen into :class:`FlatTree` objects: three
+flat typed arrays (``dist``/``pred``/``pred_via``) over dense door
+indices instead of two Python dicts, cutting both the per-row memory
+and the per-lookup cost.
 """
 
 from __future__ import annotations
@@ -290,12 +287,6 @@ class FlatTree:
         vias.reverse()
         return doors, vias, dist
 
-    def dist_map(self) -> "FlatDistMap":
-        return FlatDistMap(self)
-
-    def pred_map(self) -> "FlatPredMap":
-        return FlatPredMap(self)
-
     def dist_dict(self) -> Dict[int, float]:
         """The reached distances as a plain dict (snapshot v1 export)."""
         ids = self.door_ids
@@ -332,77 +323,6 @@ class FlatTree:
         t = self._touched
         return self.buffer_bytes() + (buffer_nbytes(t) if t is not None
                                       else 0)
-
-
-class FlatDistMap(Mapping):
-    """Read-only ``door id -> distance`` mapping over a :class:`FlatTree`.
-
-    Drop-in for the dicts :meth:`DoorGraph.point_attachment_map` used
-    to return: ``get`` / ``[]`` / ``in`` / iteration cover exactly the
-    reached doors.
-    """
-
-    __slots__ = ("_tree",)
-
-    def __init__(self, tree: FlatTree) -> None:
-        self._tree = tree
-
-    def __getitem__(self, did: int) -> float:
-        tree = self._tree
-        idx = tree.door_index.get(did)
-        if idx is None:
-            raise KeyError(did)
-        d = tree.dist[idx]
-        if d == INF:
-            raise KeyError(did)
-        return d
-
-    def __iter__(self):
-        tree = self._tree
-        ids = tree.door_ids
-        for idx in tree.touched:
-            yield ids[idx]
-
-    def __len__(self) -> int:
-        return len(self._tree.touched)
-
-
-class FlatPredMap(Mapping):
-    """Read-only ``door id -> (prev door, via)`` view of a :class:`FlatTree`.
-
-    Consumed by :func:`reconstruct_route` and the batched service's
-    cached start maps; entries exist for every reached non-root door,
-    with ``prev=None`` at point-attachment seeds.
-    """
-
-    __slots__ = ("_tree",)
-
-    def __init__(self, tree: FlatTree) -> None:
-        self._tree = tree
-
-    def __getitem__(self, did: int) -> Tuple[Optional[int], int]:
-        tree = self._tree
-        idx = tree.door_index.get(did)
-        if idx is None:
-            raise KeyError(did)
-        prev = tree.pred[idx]
-        if prev == _ROOT:
-            raise KeyError(did)
-        if prev == _POINT:
-            return None, tree.pred_via[idx]
-        return tree.door_ids[prev], tree.pred_via[idx]
-
-    def __iter__(self):
-        tree = self._tree
-        ids = tree.door_ids
-        pred = tree.pred
-        for idx in tree.touched:
-            if pred[idx] != _ROOT:
-                yield ids[idx]
-
-    def __len__(self) -> int:
-        pred = self._tree.pred
-        return sum(1 for idx in self._tree.touched if pred[idx] != _ROOT)
 
 
 class DoorGraph:
@@ -954,39 +874,6 @@ class DoorGraph:
         self._run_dijkstra(ws, self._point_seeds(p, host.pid),
                            (), None, bound)
         return self._dist_dict(ws)
-
-    def point_attachment_map(self,
-                             p: Point,
-                             workspace: Optional[DijkstraWorkspace] = None,
-                             banned: Optional[FrozenSet[int]] = None,
-                             banned_partitions: Optional[FrozenSet[int]] = None,
-                             ) -> Tuple[int, FlatDistMap, FlatPredMap]:
-        """The full unbounded point-attachment tree of point ``p``.
-
-        Returns ``(host partition id, dist, pred)`` where ``dist`` /
-        ``pred`` are read-only mapping views over one frozen
-        :class:`FlatTree` (the ``pred`` view carries ``(None, host)``
-        at the attachment doors so :func:`reconstruct_route` walks it
-        with ``source=None``).  This is the structure the batched
-        ``QueryService`` keeps in its per-endpoint LRU: any
-        first-expansion continuation query from ``p`` (empty banned
-        set, first hop through the host partition) can be answered
-        from it without re-running Dijkstra — and the flat layout
-        keeps a cached endpoint at ~24 bytes per door instead of two
-        dict entries per reached door.
-
-        ``banned`` / ``banned_partitions`` scope the attachment tree
-        to a closure overlay; the caller's cache key must then carry
-        the overlay identity (a pre-closure map answers queries the
-        closure should have rerouted).
-        """
-        ws = workspace or self.workspace
-        host = self._space.host_partition(p)
-        self._run_dijkstra(ws, self._point_seeds(p, host.pid),
-                           banned or (), None, INF,
-                           banned_partitions=banned_partitions)
-        tree = FlatTree.from_workspace(ws, self)
-        return host.pid, tree.dist_map(), tree.pred_map()
 
     def point_to_point_distance(self, ps: Point, pt: Point,
                                 bound: float = INF,

@@ -3,10 +3,12 @@
 ToE, KoE and KoE* spend most of their time in door-graph Dijkstra
 runs (:meth:`repro.space.graph.DoorGraph._run_dijkstra`) and in the
 skeleton lower bounds behind Pruning Rules 1-4
-(:meth:`repro.space.skeleton.SkeletonIndex.lower_bound_heads`).  This
-package provides one compiled replacement for each loop, both in one
-small C library (``_kernels.c``) built best-effort with the system C
-compiler and called through ``ctypes`` (see :mod:`.native_backend`).
+(:meth:`repro.space.skeleton.SkeletonIndex.lower_bound_heads`, and
+:meth:`~repro.space.skeleton.SkeletonIndex.door_bounds`, a new
+endpoint against every door).  This package provides compiled
+replacements for these loops, all in one small C library
+(``_kernels.c``) built best-effort with the system C compiler and
+called through ``ctypes`` (see :mod:`.native_backend`).
 
 There is no selection knob.  Every :class:`~repro.core.IKRQEngine`
 attaches both kernels when ``_kernels.c`` builds on this machine and

@@ -202,21 +202,101 @@ double repro_lower_bound(const double *s2s, int64_t n,
     return lower_bound(s2s, n, a, count_a, b, count_b);
 }
 
-/* Batched form: the bound between one fixed attachment and each of
- * `m` others.  `items` holds one (buffer address, count) pair per
- * attachment; with `fixed_is_a` the fixed attachment is the `a` side
- * (|fixed, item|L), else the `b` side (|item, fixed|L).
+/* The dense bounds of one fixed endpoint against every door: out[k]
+ * is |fixed, door k|L when `fixed_is_a`, else |door k, fixed|L, with
+ * k the graph's dense door index.  A transcription of
+ * SkeletonIndex.door_bounds' interpreted fill (lower_bound_heads per
+ * door) in repro/space/skeleton.py:
+ *
+ * - a door on the fixed endpoint's floor, or at a touching level
+ *   (|level difference| <= 0.5), takes the Euclidean distance with
+ *   Point.distance_to's operations: z = level * floor_height, then
+ *   sqrt(dx*dx + dy*dy + dz*dz), differences taken in the same
+ *   direction as Python;
+ * - a cross-floor door computes its heads to the stair rows of its
+ *   floor (`fl_rows[fl_indptr[slot]..fl_indptr[slot + 1]]`) from the
+ *   stair coordinates `px/py/pz` exactly as SkeletonIndex._heads does,
+ *   then takes the same `(head + s2s) + tail` sums as lower_bound().
+ *   The fixed attachment is head-ascending, so the outer loop keeps
+ *   its `break` when the fixed side is `a`; a door's heads are taken
+ *   in floor order, so on that side a dominated head is skipped with
+ *   `continue`.  Every skipped sum is >= the best bound either way, so
+ *   the minimum is the same double.  A floor without stair doors
+ *   yields +inf.
+ *
+ * sqrt is correctly rounded, as is CPython's math.sqrt; the build
+ * passes -ffp-contract=off so no multiply-add is fused into an FMA,
+ * and every double then rounds as CPython's does.  `heads` is caller
+ * scratch of at least the largest floor's stair count.
  */
-void repro_lower_bounds(const double *s2s, int64_t n,
-                        const int64_t *fixed, int64_t fixed_count,
-                        int64_t fixed_is_a, const int64_t *items,
-                        int64_t m, double *out)
+void repro_door_bounds(const double *s2s, int64_t n,
+                       const double *px, const double *py,
+                       const double *pz,
+                       const int64_t *fl_indptr, const int64_t *fl_rows,
+                       const double *door_x, const double *door_y,
+                       const double *door_level,
+                       const int64_t *door_floor,
+                       const int64_t *door_slot, int64_t m,
+                       double floor_height,
+                       double fx, double fy, double flevel, int64_t ffloor,
+                       const int64_t *fixed, int64_t fixed_count,
+                       int64_t fixed_is_a, double *heads, double *out)
 {
+    double fz = flevel * floor_height;
+    const double *fixed_heads = (const double *)(fixed + fixed_count);
     for (int64_t k = 0; k < m; k++) {
-        const int64_t *item = (const int64_t *)(intptr_t)items[2 * k];
-        int64_t count = items[2 * k + 1];
-        out[k] = fixed_is_a
-            ? lower_bound(s2s, n, fixed, fixed_count, item, count)
-            : lower_bound(s2s, n, item, count, fixed, fixed_count);
+        double x = door_x[k];
+        double y = door_y[k];
+        double level = door_level[k];
+        double z = level * floor_height;
+        if (door_floor[k] == ffloor || fabs(flevel - level) <= 0.5) {
+            double dx, dy, dz;
+            if (fixed_is_a) {
+                dx = fx - x;
+                dy = fy - y;
+                dz = fz - z;
+            } else {
+                dx = x - fx;
+                dy = y - fy;
+                dz = z - fz;
+            }
+            out[k] = sqrt(dx * dx + dy * dy + dz * dz);
+            continue;
+        }
+        const int64_t *rows = fl_rows + fl_indptr[door_slot[k]];
+        int64_t count = fl_indptr[door_slot[k] + 1] - fl_indptr[door_slot[k]];
+        for (int64_t j = 0; j < count; j++) {
+            double dx = x - px[rows[j]];
+            double dy = y - py[rows[j]];
+            double dz = z - pz[rows[j]];
+            heads[j] = sqrt(dx * dx + dy * dy + dz * dz);
+        }
+        double best = INFINITY;
+        if (fixed_is_a) {
+            for (int64_t i = 0; i < fixed_count; i++) {
+                double head = fixed_heads[i];
+                if (head >= best)
+                    break; /* head-ascending: the rest is dominated */
+                const double *row = s2s + fixed[i] * n;
+                for (int64_t j = 0; j < count; j++) {
+                    double total = head + row[rows[j]] + heads[j];
+                    if (total < best)
+                        best = total;
+                }
+            }
+        } else {
+            for (int64_t j = 0; j < count; j++) {
+                double head = heads[j];
+                if (head >= best)
+                    continue; /* floor order: skip a dominated head */
+                const double *row = s2s + rows[j] * n;
+                for (int64_t i = 0; i < fixed_count; i++) {
+                    double total = head + row[fixed[i]] + fixed_heads[i];
+                    if (total < best)
+                        best = total;
+                }
+            }
+        }
+        out[k] = best;
     }
 }

@@ -9,9 +9,9 @@ dependency.  When no compiler is present (or the build fails)
 :func:`library` raises :class:`KernelUnavailable` and engines run the
 interpreted loop; nothing in the serving or query path requires it.
 
-The library holds two transcriptions of interpreted loops: the
-Dijkstra (:func:`sssp`) and the skeleton lower bound
-(:class:`SkeletonBounds`); the comments in ``_kernels.c`` carry their
+The library holds transcriptions of interpreted loops: the Dijkstra
+(:func:`sssp`) and the skeleton lower bounds, one pair at a time and
+one endpoint against every door (:class:`SkeletonBounds`); the comments in ``_kernels.c`` carry their
 bit-identity arguments.  Buffers are passed by address: ``array``
 objects report theirs directly, and read-only ``memoryview`` slices
 of an ``mmap``-ed snapshot are addressed through the CPython buffer
@@ -44,19 +44,35 @@ def _cache_dir() -> str:
     return path
 
 
+#: The compile flags.  Plain -O2, deliberately without -ffast-math,
+#: and with -ffp-contract=off: the doubles must round exactly like
+#: CPython's, and GCC would otherwise fuse the Euclidean step's
+#: multiply-adds into FMAs on targets that have them (AArch64).
+_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _so_path(source: bytes, compiler: str, flags=_FLAGS) -> str:
+    """The cached build of ``source`` by ``compiler`` with ``flags``.
+
+    The name digests the source and the compile command, so a changed
+    flag list or compiler never reuses a stale build.
+    """
+    command = "\0".join((compiler,) + tuple(flags)).encode()
+    digest = hashlib.sha256(source + b"\0" + command).hexdigest()[:16]
+    return os.path.join(_cache_dir(), f"repro_kernels_{digest}.so")
+
+
 def _build() -> ctypes.CDLL:
     with open(_SOURCE, "rb") as fh:
         source = fh.read()
-    digest = hashlib.sha256(source).hexdigest()[:16]
-    so_path = os.path.join(_cache_dir(), f"repro_kernels_{digest}.so")
+    compiler = os.environ.get("CC") or "cc"
+    so_path = _so_path(source, compiler)
     if not os.path.exists(so_path):
-        cc = shutil.which(os.environ.get("CC") or "cc")
+        cc = shutil.which(compiler)
         if cc is None:
-            raise KernelUnavailable("no C compiler (cc) on PATH")
+            raise KernelUnavailable(f"no C compiler ({compiler}) on PATH")
         tmp_path = f"{so_path}.{os.getpid()}.tmp"
-        # Plain -O2, deliberately without -ffast-math: the doubles
-        # must round exactly like CPython's.
-        cmd = [cc, "-O2", "-fPIC", "-shared", "-o", tmp_path, _SOURCE]
+        cmd = [cc, *_FLAGS, "-o", tmp_path, _SOURCE]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             raise KernelUnavailable(
@@ -73,10 +89,13 @@ def _build() -> ctypes.CDLL:
     lib.repro_lower_bound.argtypes = [
         ctypes.c_void_p, ctypes.c_int64,
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
-    lib.repro_lower_bounds.restype = None
-    lib.repro_lower_bounds.argtypes = [
-        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-        ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    lib.repro_door_bounds.restype = None
+    lib.repro_door_bounds.argtypes = (
+        [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 10
+        + [ctypes.c_int64, ctypes.c_double, ctypes.c_double,
+           ctypes.c_double, ctypes.c_double, ctypes.c_int64,
+           ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+           ctypes.c_void_p, ctypes.c_void_p])
     return lib
 
 
@@ -226,36 +245,46 @@ def sssp(graph, ws, seeds, banned, banned_partitions, targets, bound,
 
 
 class SkeletonBounds:
-    """The C skeleton lower bound over one δs2s table.
+    """The C skeleton lower bounds over one δs2s table.
 
     ``s2s`` is the skeleton's row-major table — an ``array`` or a
     read-only ``memoryview`` of a mapped snapshot — addressed in place
     and kept alive here.  Attachments pass the address and stair
     count of their packed buffer (see
     :data:`repro.space.skeleton.Attachment`); ``one`` is the C
-    single-pair entry point, which the skeleton calls inline.
+    single-pair entry point, which the skeleton calls inline, and
+    :meth:`door_bounds` the dense one-endpoint-against-every-door fill.
     """
 
-    __slots__ = ("s2s", "addr", "n", "one", "many")
+    __slots__ = ("s2s", "addr", "n", "one", "dense")
 
     def __init__(self, s2s, n: int) -> None:
         self.s2s = s2s
         self.addr = _addr(s2s)
         self.n = n
         self.one = _lib.repro_lower_bound
-        self.many = _lib.repro_lower_bounds
+        self.dense = _lib.repro_door_bounds
 
-    def bounds(self, fixed_addr: int, fixed_count: int, fixed_is_a: bool,
-               items: array) -> array:
-        """The bound between one attachment and each of ``items``.
+    def door_bounds(self, stairs, doors, floor_height: float, fixed,
+                    fixed_is_a: bool) -> array:
+        """The bound between a fixed endpoint and every door.
 
-        ``items`` concatenates the other attachments' ``(address,
-        count)`` pairs; with ``fixed_is_a`` the fixed attachment is the
-        ``a`` side.
+        ``stairs`` is the skeleton's ``(px, py, pz)`` stair coordinate
+        buffers, ``doors`` its per-engine
+        :class:`~repro.space.skeleton.DoorInputs`, and ``fixed`` the
+        endpoint's attachment.  With ``fixed_is_a`` slot ``k`` holds
+        ``|fixed, door k|L``, else ``|door k, fixed|L``.
         """
-        m = len(items) // 2
+        pos, floor, level, pairs, _, fixed_addr, _ = fixed
+        m = len(doors.x)
         out = array("d", bytes(8 * m))
-        self.many(self.addr, self.n, fixed_addr, fixed_count,
-                  int(fixed_is_a), items.buffer_info()[0], m,
-                  out.buffer_info()[0])
+        heads = array("d", bytes(8 * max(doors.widest, 1)))
+        px, py, pz = stairs
+        self.dense(self.addr, self.n, _addr(px), _addr(py), _addr(pz),
+                   _addr(doors.fl_indptr), _addr(doors.fl_rows),
+                   _addr(doors.x), _addr(doors.y), _addr(doors.level),
+                   _addr(doors.floor), _addr(doors.slot), m,
+                   floor_height, pos.x, pos.y, level, floor,
+                   fixed_addr, len(pairs), int(fixed_is_a),
+                   _addr(heads), _addr(out))
         return out

@@ -60,11 +60,48 @@ def _levels_touch(level_a: float, level_b: float) -> bool:
     """Whether two levels are close enough for plain Euclid to bound.
 
     A stair door at level ``f + 0.5`` touches both floor ``f`` and
-    floor ``f + 1``.  Single source of the 0.5 invariant — the flat
-    fast paths, the item entry point and the dict reference core all
-    route through it.
+    floor ``f + 1``.  Single Python source of the 0.5 invariant — the
+    flat fast paths, the item entry point and the dict reference core
+    all route through it; the C dense fill (``repro_door_bounds``)
+    transcribes it.
     """
     return abs(level_a - level_b) <= 0.5
+
+
+class DoorInputs:
+    """Flat per-door inputs of the C :meth:`SkeletonIndex.door_bounds`.
+
+    Parallel buffers over ``door_ids`` (the graph's dense door order):
+    each door's ``x`` / ``y`` / ``level`` and ``floor``, and its
+    ``slot`` in a per-floor CSR of stair rows (``fl_indptr`` /
+    ``fl_rows``, the rows :meth:`SkeletonIndex._heads` attaches a door
+    of that floor to).  ``widest`` is the largest floor's stair count.
+    Built from the door positions in one pass — no per-door
+    attachment is materialised.
+    """
+
+    __slots__ = ("door_ids", "x", "y", "level", "floor", "slot",
+                 "fl_indptr", "fl_rows", "widest")
+
+    def __init__(self, skeleton: "SkeletonIndex", door_ids) -> None:
+        self.door_ids = door_ids
+        doors = skeleton._space.doors
+        positions = [doors[did].position for did in door_ids]
+        self.x = array("d", [p.x for p in positions])
+        self.y = array("d", [p.y for p in positions])
+        self.level = array("d", [p.level for p in positions])
+        floors = [p.floor for p in positions]
+        self.floor = array("q", floors)
+        slots: Dict[int, int] = {}
+        self.fl_indptr = array("q", [0])
+        self.fl_rows = array("q")
+        for floor in sorted(set(floors)):
+            slots[floor] = len(slots)
+            self.fl_rows.extend(skeleton._stair_doors_for_floor(floor))
+            self.fl_indptr.append(len(self.fl_rows))
+        self.slot = array("q", [slots[f] for f in floors])
+        self.widest = max((self.fl_indptr[i + 1] - self.fl_indptr[i]
+                           for i in range(len(slots))), default=0)
 
 
 class SkeletonIndex:
@@ -115,6 +152,8 @@ class SkeletonIndex:
         # The C lower bound (see :meth:`set_kernel`), or ``None`` for
         # the interpreted double loop.
         self._bounds = None
+        # The C fill's per-door inputs (:meth:`door_bounds`).
+        self._dense_doors = None
 
     @classmethod
     def from_precomputed(cls,
@@ -349,41 +388,35 @@ class SkeletonIndex:
                     best = total
         return best
 
-    def fill_lower_bounds(self, fixed: Attachment, fixed_is_a: bool,
-                          doors, out: dict) -> None:
-        """Store the bound between ``fixed`` and each door in ``out``.
+    def door_bounds(self, endpoint: Point, endpoint_is_a: bool,
+                    door_ids) -> array:
+        """The bound between ``endpoint`` and every door of ``door_ids``.
 
-        ``out[d]`` becomes ``lower_bound_heads(fixed, heads(d))`` with
-        ``fixed_is_a``, else ``lower_bound_heads(heads(d), fixed)`` —
-        the same value, computed the same way: same-floor doors take
-        the Euclidean distance here, and one call of the C bound
-        covers every cross-floor door.  Without the kernel attached
-        each door takes :meth:`lower_bound_heads`.
+        Slot ``k`` holds ``|endpoint, door_ids[k]|L`` with
+        ``endpoint_is_a``, else ``|door_ids[k], endpoint|L`` — exactly
+        :meth:`lower_bound_heads` of the two attachments.  With the C
+        bound attached one kernel call fills every slot; without it
+        the interpreted :meth:`lower_bound_heads` does, door by door.
         """
-        heads = self._heads
+        fixed = self._heads(endpoint)
         bounds = self._bounds
-        if bounds is None:
-            lbh = self.lower_bound_heads
-            for door in doors:
-                out[door] = (lbh(fixed, heads(door)) if fixed_is_a
-                             else lbh(heads(door), fixed))
-            return
-        pos, floor, level, pairs, _, addr, _ = fixed
-        batch = []
-        items = array("q")
-        for door in doors:
-            h = heads(door)
-            if h[1] == floor or _levels_touch(level, h[2]):
-                out[door] = (pos.distance_to(h[0]) if fixed_is_a
-                             else h[0].distance_to(pos))
-                continue
-            batch.append(door)
-            items.append(h[5])
-            items.append(len(h[3]))
-        if batch:
-            values = bounds.bounds(addr, len(pairs), fixed_is_a, items)
-            for door, value in zip(batch, values):
-                out[door] = value
+        if bounds is not None:
+            return bounds.door_bounds(
+                (self._px, self._py, self._pz),
+                self._door_inputs(door_ids), FLOOR_HEIGHT, fixed,
+                endpoint_is_a)
+        heads = self._heads
+        lbh = self.lower_bound_heads
+        if endpoint_is_a:
+            return array("d", [lbh(fixed, heads(d)) for d in door_ids])
+        return array("d", [lbh(heads(d), fixed) for d in door_ids])
+
+    def _door_inputs(self, door_ids) -> "DoorInputs":
+        """The C fill's per-door inputs, built once per door order."""
+        inputs = self._dense_doors
+        if inputs is None or inputs.door_ids is not door_ids:
+            inputs = self._dense_doors = DoorInputs(self, door_ids)
+        return inputs
 
     @staticmethod
     def _touching_levels(a: Point, b: Point) -> bool:

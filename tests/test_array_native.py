@@ -185,23 +185,6 @@ class TestGraphEquivalence:
             checked += 1
         assert checked > 10
 
-    def test_point_attachment_map_matches(self, mall_graph,
-                                          mall_dict_graph, mall):
-        space = mall[0]
-        rng = random.Random(12)
-        pid = sorted(space.partitions)[3]
-        p = space.partition(pid).footprint.random_interior_point(rng)
-        host_a, dist_a, pred_a = mall_graph.point_attachment_map(p)
-        host_b, dist_b, pred_b = mall_dict_graph.point_attachment_map(p)
-        assert host_a == host_b
-        assert dict(dist_a) == dist_b
-        assert dict(pred_a) == pred_b
-        # Mapping protocol of the flat views.
-        some_door = next(iter(dist_b))
-        assert dist_a[some_door] == dist_b[some_door]
-        assert dist_a.get(-999) is None
-        assert len(dist_a) == len(dist_b)
-
 
 # ----------------------------------------------------------------------
 # Door matrix: flat trees vs. dict rows

@@ -6,7 +6,7 @@ import pytest
 
 from repro.geometry import Point
 from repro.space import DoorGraph
-from repro.space.graph import DoorMatrix
+from repro.space.graph import DoorMatrix, FlatTree
 
 INF = math.inf
 
@@ -246,7 +246,6 @@ class TestTouchedAndFreeze:
         """The bulk-copy freeze relies on it: ``len(touched) == n``
         must mean every door was reached."""
         import random
-        from repro.space.graph import FlatTree
         rng = random.Random(61)
         doors = sorted(mall_space.doors)
         partitions = sorted(mall_space.partitions)
@@ -280,7 +279,8 @@ class TestTouchedAndFreeze:
                     _loop_freeze(ws, graph)), name
             p = mall_space.partition(
                 sorted(mall_space.partitions)[0]).footprint.center
-            host, dist, pred = graph.point_attachment_map(p, workspace=ws)
-            assert len(dist) == graph.num_nodes
-            assert _tree_bytes(dist._tree) == _tree_bytes(
+            graph.distances_from_point(p, workspace=ws)
+            tree = FlatTree.from_workspace(ws, graph)
+            assert len(tree.touched) == graph.num_nodes
+            assert _tree_bytes(tree) == _tree_bytes(
                 _loop_freeze(ws, graph)), name

@@ -14,8 +14,11 @@ single answer byte.  These tests hold the C Dijkstra to that across:
 * a fuzz sweep over randomized synthetic venues,
 
 and hold the C lower bound to it on seeded attachment pairs (heap and
-mapped δs2s tables, empty attachments, both entry points) and on
-engine answers.  They also check the selection itself: a broken
+mapped δs2s tables, empty attachments) and on engine answers, and the
+dense endpoint-against-every-door fill (``TestDenseDoorBounds``, which
+also runs — on the interpreted fill — where the C build is
+unavailable) to the per-door ``lower_bound_heads`` and Rule 3's
+partition bound.  They also check the selection itself: a broken
 compiler falls back to both interpreted loops, and a mapped snapshot
 search attaches the C loop without importing numpy.  The interpreted
 references are reached with ``DoorGraph.set_kernel(None)`` and
@@ -30,6 +33,7 @@ skip and the rest of the suite runs on the interpreted loop.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -220,6 +224,23 @@ class TestResolution:
         assert "no C compiler" in out["info"]["unavailable"]
         assert out["interpreted_bound_ran"]
         assert out["answers"] == expected
+
+    def test_build_cache_key_covers_the_compile_command(self, tmp_path,
+                                                        monkeypatch):
+        """A changed flag list (or compiler) names a different cached
+        object, so a flag change never reuses a stale build."""
+        from repro.space.kernels import native_backend
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        source = b"int f(void) { return 0; }"
+        flags = native_backend._FLAGS
+        assert "-ffp-contract=off" in flags
+        path = native_backend._so_path(source, "cc", flags)
+        assert path == native_backend._so_path(source, "cc", flags)
+        assert path != native_backend._so_path(
+            source, "cc", tuple(f for f in flags if f != "-ffp-contract=off"))
+        assert path != native_backend._so_path(source, "cc", flags + ("-g",))
+        assert path != native_backend._so_path(source, "clang", flags)
+        assert path != native_backend._so_path(source + b" ", "cc", flags)
 
     def test_mapped_snapshot_search_loads_no_numpy(self, tmp_path):
         """A shard-style mapped load attaches the C loop and never
@@ -485,6 +506,28 @@ def attachment_items(space, rng, n=40):
     return items
 
 
+@contextlib.contextmanager
+def detached(skeleton):
+    """The skeleton with its C bound detached, restored on exit."""
+    kernel = skeleton._bounds
+    skeleton._bounds = None
+    try:
+        yield skeleton
+    finally:
+        skeleton._bounds = kernel
+
+
+def dense_reference(skeleton, endpoint, endpoint_is_a, door_ids):
+    """The interpreted ``lower_bound_heads`` of ``endpoint`` against
+    every door, as float bits."""
+    with detached(skeleton):
+        fixed = skeleton.heads(endpoint)
+        lbh = skeleton.lower_bound_heads
+        return [bound_bits(lbh(fixed, skeleton.heads(d)) if endpoint_is_a
+                           else lbh(skeleton.heads(d), fixed))
+                for d in door_ids]
+
+
 class TestLowerBoundIdentity:
     @pytest.mark.parametrize("mapped", [False, True], ids=["heap", "mmap"])
     def test_bounds_match_interpreted_bit_for_bit(self, mapped, tmp_path):
@@ -530,26 +573,17 @@ class TestLowerBoundIdentity:
         cross = [v for (i, j), v in zip(pairs, ref)
                  if heads[i][1] != heads[j][1] and v != INF]
         assert cross and INF in ref
-        # The batched entry point fills the same values either way
-        # round.
+        # The dense entry point fills the same values either way round,
+        # from a point on a stairless floor and from two free points.
         skeleton.set_kernel(bounds)
+        door_ids = engine.graph._door_ids
         doors = [item for item in items if isinstance(item, int)]
-        for fixed in (heads[-1], heads[len(doors)], heads[len(doors) + 1]):
+        for fixed in (items[-1], items[len(doors)], items[len(doors) + 1]):
             for fixed_is_a in (True, False):
-                batch = {}
-                skeleton.fill_lower_bounds(fixed, fixed_is_a, doors, batch)
-                skeleton.set_kernel(None)
-                one = {}
-                skeleton.fill_lower_bounds(fixed, fixed_is_a, doors, one)
-                expected = {
-                    d: skeleton.lower_bound_heads(fixed, skeleton.heads(d))
-                    if fixed_is_a else
-                    skeleton.lower_bound_heads(skeleton.heads(d), fixed)
-                    for d in doors}
-                skeleton.set_kernel(bounds)
-                assert ({d: bound_bits(v) for d, v in batch.items()}
-                        == {d: bound_bits(v) for d, v in one.items()}
-                        == {d: bound_bits(v) for d, v in expected.items()})
+                dense = skeleton.door_bounds(fixed, fixed_is_a, door_ids)
+                assert (list(map(bound_bits, dense))
+                        == dense_reference(skeleton, fixed, fixed_is_a,
+                                           door_ids))
 
     def test_engine_answers_match_with_bound_detached(self):
         """Kernel attached vs detached under sealed-partition
@@ -600,6 +634,144 @@ class TestLowerBoundIdentity:
                 assert wire(seen_pair) == wire(new_pair)
                 nonempty += bool(new_pair.routes)
         assert nonempty
+
+
+# ----------------------------------------------------------------------
+# The dense endpoint bounds (every door at once)
+# ----------------------------------------------------------------------
+def stairless_mall():
+    """The test mall plus a detached floor (level 5) without stair
+    doors: its door has no stair rows, so every cross-floor bound to
+    it is +inf."""
+    from repro.geometry import Rect
+    from repro.space import IndoorSpace
+    from repro.space.entities import Door, Partition
+    space, kindex = mall_fixture()
+    pid = max(space.partitions) + 1
+    both = frozenset({pid, pid + 1})
+    rooms = [Partition(pid, Rect(0.0, 0.0, 10.0, 10.0, level=5.0)),
+             Partition(pid + 1, Rect(10.0, 0.0, 20.0, 10.0, level=5.0))]
+    door = Door(max(space.doors) + 1, Point(10.0, 5.0, 5.0), both, both)
+    return IndoorSpace(list(space.partitions.values()) + rooms,
+                       list(space.doors.values()) + [door]), kindex
+
+
+def dense_venue(name):
+    if name == "fig1":
+        from repro.datasets import paper_fig1
+        fig1 = paper_fig1()
+        return fig1.space, fig1.kindex
+    return stairless_mall() if name == "stairless" else mall_fixture()
+
+
+def dense_endpoints(space, rng):
+    """Door positions (stair doors sit at half levels), free points on
+    every floor, and a point on a floor without stair doors."""
+    doors = sorted(space.doors)
+    stairs = [d for d in doors if space.door(d).is_staircase_door]
+    picked = rng.sample(doors, k=min(6, len(doors))) + stairs[:4]
+    points = [space.door(d).position for d in picked]
+    for part in rng.sample(sorted(space.partitions.values(),
+                                  key=lambda p: p.pid), k=6):
+        points.append(part.footprint.random_interior_point(rng))
+    top = max(p.footprint.level for p in space.partitions.values())
+    points.append(Point(1.0, 1.0, top + 7.0))
+    return points
+
+
+class TestDenseDoorBounds:
+    """The dense ``|ps, d|L`` / ``|d, pt|L`` fill against the
+    interpreted per-door ``lower_bound_heads``, bit for bit — the C
+    fill where ``_kernels.c`` builds, else the interpreted fill."""
+
+    @pytest.mark.parametrize("mapped", [False, True], ids=["heap", "mmap"])
+    @pytest.mark.parametrize("venue", ["fig1", "mall", "stairless"])
+    def test_dense_bounds_match_lower_bound_heads(self, venue, mapped,
+                                                  tmp_path):
+        from repro.serve.snapshot import load_snapshot, save_snapshot
+        space, kindex = dense_venue(venue)
+        engine = IKRQEngine(space, kindex)
+        if mapped:
+            path = tmp_path / "venue.snap.bin"
+            save_snapshot(path, engine, binary=True)
+            engine = load_snapshot(path, mmap=True)
+            assert isinstance(engine.skeleton._s2s, memoryview)
+        skeleton = engine.skeleton
+        assert skeleton.kernel_name == kernel_info()["lower_bound"]
+        door_ids = engine.graph._door_ids
+        door_pos = [space.door(d).position for d in door_ids]
+        kinds = set()
+        for p in dense_endpoints(space, random.Random(83)):
+            for is_a in (True, False):
+                dense = skeleton.door_bounds(p, is_a, door_ids)
+                ref = dense_reference(skeleton, p, is_a, door_ids)
+                assert list(map(bound_bits, dense)) == ref, (p, is_a)
+                for q, value in zip(door_pos, dense):
+                    if q.level == p.level:
+                        kinds.add("same floor")
+                    elif abs(q.level - p.level) == 0.5:
+                        kinds.add("touching level")
+                    elif value == INF:
+                        kinds.add("no stair rows")
+                    else:
+                        kinds.add("cross floor")
+        expected = {"same floor", "no stair rows"}
+        if venue != "fig1":
+            expected |= {"touching level", "cross floor"}
+        assert expected <= kinds
+        if venue == "stairless":
+            # The stairless floor's door against an endpoint on a
+            # floor with stair doors: the door side has no rows.
+            k = engine.graph._door_index[max(space.doors)]
+            ps = space.door(sorted(space.doors)[0]).position
+            assert skeleton.heads(ps)[3]
+            assert skeleton.door_bounds(ps, True, door_ids)[k] == INF
+            assert skeleton.door_bounds(ps, False, door_ids)[k] == INF
+
+    @pytest.mark.parametrize("mapped", [False, True], ids=["heap", "mmap"])
+    def test_rule3_from_arrays_matches_partition_bound(self, mapped,
+                                                       tmp_path):
+        """Rule 3 read from the dense arrays equals
+        ``lower_bound_via_partition_heads`` for ``ps`` and door sources,
+        on the plain venue and under a closure overlay's view."""
+        from repro.serve.snapshot import load_snapshot, save_snapshot
+        space, kindex = mall_fixture()
+        engine = IKRQEngine(space, kindex)
+        if mapped:
+            path = tmp_path / "venue.snap.bin"
+            save_snapshot(path, engine, binary=True)
+            engine = load_snapshot(path, mmap=True)
+        skeleton = engine.skeleton
+        rng = random.Random(89)
+        queries = mall_queries(space, kindex, rng, n=4)
+        assert any(q.ps.floor != q.pt.floor for q in queries)
+        pids = sorted(space.partitions)
+        doors = sorted(space.doors)
+        overlays = [None, ClosureOverlay(
+            closed_doors=frozenset(rng.sample(doors, k=3)),
+            sealed_partitions=frozenset(rng.sample(pids, k=2)))]
+        finite = 0
+        for overlay in overlays:
+            for query in queries:
+                ctx = engine.context(query, overlay=overlay)
+                from_ps, to_pt = ctx.fill_door_bounds()
+                door_ids = engine.graph._door_ids
+                assert list(map(bound_bits, from_ps)) == dense_reference(
+                    skeleton, query.ps, True, door_ids)
+                assert list(map(bound_bits, to_pt)) == dense_reference(
+                    skeleton, query.pt, False, door_ids)
+                ht = skeleton.heads(query.pt)
+                sources = [query.ps] + rng.sample(doors, k=3)
+                for source in sources:
+                    for pid in rng.sample(pids, k=8):
+                        got = ctx.lb_via_partition(source, pid)
+                        with detached(skeleton):
+                            ref = skeleton.lower_bound_via_partition_heads(
+                                skeleton.heads(source), pid, ht,
+                                space=ctx.space)
+                        assert bound_bits(got) == bound_bits(ref)
+                        finite += got != INF
+        assert finite
 
 
 # ----------------------------------------------------------------------

@@ -286,6 +286,35 @@ class TestTracedSearch:
         assert set(trace.stages) <= {"relaxation", "lower_bound"}
         assert trace.stages.get("relaxation", 0.0) > 0.0
 
+    def test_new_pair_fill_counts_as_lower_bound(self):
+        """A fine-traced first-seen endpoint pair fills its dense
+        bounds inside the lower-bound stage, and answers exactly like
+        an untraced evaluation."""
+        from repro.core.query import QueryContext
+        from repro.datasets.synth import SynthMallConfig, build_synth_mall
+        from repro.serve import answer_to_wire, canonical_json
+        assert "fill_door_bounds" in QueryContext._LOWER_BOUND_PROBES
+        space, kindex = build_synth_mall(
+            SynthMallConfig(floors=2, rooms_per_floor=10, seed=9))
+        engine = IKRQEngine(space, kindex)
+        doors = sorted(space.doors)
+        query = IKRQ(ps=space.door(doors[3]).position,
+                     pt=space.door(doors[-5]).position, delta=300.0,
+                     keywords=tuple(sorted(kindex.iwords)[:2]), k=3)
+        assert query.ps.floor != query.pt.floor
+        for algorithm in ("ToE", "KoE"):
+            traced_service = QueryService(engine, workers=1)
+            trace = EngineTrace(fine=True)
+            traced = traced_service.search(query, algorithm, trace=trace)
+            entry = next(iter(traced_service._point_maps.values()))
+            assert entry["lb_from_ps"][0] is not None
+            assert entry["lb_to_pt"][0] is not None
+            assert trace.stages.get("lower_bound", 0.0) > 0.0
+            bare = QueryService(engine, workers=1).search(query, algorithm)
+            assert bare.routes
+            assert (canonical_json(answer_to_wire(traced))
+                    == canonical_json(answer_to_wire(bare)))
+
     def test_service_annotates_cache_outcome_and_counters(self, fig1):
         engine = IKRQEngine(fig1.space, fig1.kindex)
         service = QueryService(engine, workers=1)

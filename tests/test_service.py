@@ -206,7 +206,6 @@ class TestQueryService:
         service.search_batch(queries)
         assert service.stats.point_map_misses == 1
         assert service.stats.point_map_hits == len(queries) - 1
-        # Start-point continuations were served from the shared map.
         assert service.stats.keyword_cache_misses == 2
 
     def test_point_map_capacity_evicts(self, fig1):
@@ -272,18 +271,20 @@ class TestQueryService:
                 == [[(r.kp, r.distance, r.score) for r in a.routes]
                     for a in direct])
 
-    def test_point_cache_hits_recorded_in_search_stats(self, service_setup):
-        """KoE's first expansion (point tail, empty banned set) is
-        served from the shared start-attachment map."""
+    def test_koe_served_answers_match_direct(self, service_setup):
+        """KoE's point-tail continuations run the same bounded Dijkstra
+        through the service as on a bare engine: served answers are
+        byte-identical to direct ones, and non-empty."""
+        from repro.serve.wire import answer_to_wire, canonical_json
         engine, queries = service_setup
         service = QueryService(engine, workers=1,
                                answer_cache_capacity=0)
-        answer = service.search(queries[0], "KoE")
-        assert answer.stats.point_cache_hits > 0
-        direct = engine.search(queries[0], "KoE")
-        assert direct.stats.point_cache_hits == 0
-        assert ([(r.kp, r.distance, r.score) for r in answer.routes]
-                == [(r.kp, r.distance, r.score) for r in direct.routes])
+        for query in queries:
+            served = service.search(query, "KoE")
+            direct = engine.search(query, "KoE")
+            assert served.routes
+            assert (canonical_json(answer_to_wire(served))
+                    == canonical_json(answer_to_wire(direct)))
 
 
 class TestThroughputBench:
