@@ -6,6 +6,7 @@ Regenerate any figure of the evaluation (Section V)::
     python -m repro.bench fig05 --scale 1.0     # paper-size venue
     python -m repro.bench all --scale 0.25      # every figure
     python -m repro.bench --list                # figure index
+    python -m repro.bench scale --smoke         # array core vs. dict core
 
 Each figure prints its time (and, where applicable, memory /
 homogeneous-rate) series in the same axes as the paper.  Absolute
@@ -24,7 +25,6 @@ from pathlib import Path
 
 from repro.bench import experiments as E
 from repro.bench import scale as S
-from repro.bench import throughput as T
 from repro.bench.reporting import format_series
 
 #: Which series to print per figure: (x key, metrics).
@@ -60,46 +60,10 @@ DESCRIPTIONS = {
     "fig20": "real data: ToE\\P homogeneous rate vs. |QW|",
 }
 
-#: Non-figure experiments (not in the paper; engine-growth workloads).
-EXTRA_DESCRIPTIONS = {
-    "throughput": "queries/second: sequential vs. batched QueryService "
-                  "(--serve: threaded vs. sharded process pool)",
-    "scale": "array-native core vs. the retained dict core on growing "
-             "synthetic malls (identity-verified, with latency "
-             "percentiles and snapshot cold-start times)",
-    "tenancy": "multi-venue serving under fire: hammer N synthetic "
-               "malls while hot-swapping one to a new snapshot "
-               "generation (byte-identity, shed rate, swap latency)",
-    "memory": "tenants per memory budget with and without the memory "
-              "tiers (mmap-shared snapshots, disk-spilled matrix rows; "
-              "byte-identity + spilled-row fault latency)",
-    "chaos": "fault tolerance under fire: SIGKILL live shard workers "
-             "mid-stream on a deterministic schedule (zero non-shed "
-             "failures, byte-identity, recovery, bounded p99)",
-    "soak": "open-loop arrival-process traffic (Poisson/bursty, zipf "
-            "tenant mix) with coordinated-omission-corrected latency, "
-            "SLO-gated saturation search, and a closure-surge scenario",
-}
-
-
-def run_throughput(args) -> dict:
-    print(f"\n=== throughput: {EXTRA_DESCRIPTIONS['throughput']} "
-          f"(venue={args.venue}, workers={args.workers}, "
-          f"serve={args.serve}) ===")
-    if args.serve:
-        result = T.run_serve_throughput(
-            venue=args.venue, pool=args.pool, repeat=args.repeats_pool,
-            workers=args.workers, scale=args.scale)
-        print(T.format_serve_report(result))
-    else:
-        result = T.run_throughput(
-            venue=args.venue, pool=args.pool, repeat=args.repeats_pool,
-            workers=args.workers, scale=args.scale)
-        print(T.format_report(result))
-    if args.artifact:
-        T.append_trajectory(args.artifact, result)
-        print(f"trajectory appended to {args.artifact}")
-    return result
+#: The one non-figure experiment (not in the paper).
+SCALE_DESCRIPTION = ("array-native core vs. the retained dict core on "
+                     "growing synthetic malls (identity-verified, with "
+                     "latency percentiles and snapshot cold-start times)")
 
 
 def run_figure(figure: str, scale: float, instances: int,
@@ -144,26 +108,6 @@ def main(argv=None) -> int:
         # The scale bench owns its own CLI (--floors, --smoke, ...):
         # `python -m repro.bench scale --floors 10`.
         return S.main(argv[1:])
-    if argv and argv[0] == "tenancy":
-        # So does the tenancy bench (--venues, --shards, --smoke, ...):
-        # `python -m repro.bench tenancy --venues 4`.
-        from repro.bench import tenancy as TN
-        return TN.main(argv[1:])
-    if argv and argv[0] == "memory":
-        # And the memory-tiering bench (--budget-tenants, --smoke, ...):
-        # `python -m repro.bench memory --floors 2`.
-        from repro.bench import memory as M
-        return M.main(argv[1:])
-    if argv and argv[0] == "chaos":
-        # And the fault-tolerance chaos harness (--kills, --smoke, ...):
-        # `python -m repro.bench chaos --shards 3`.
-        from repro.bench import chaos as CH
-        return CH.main(argv[1:])
-    if argv and argv[0] == "soak":
-        # And the open-loop soak harness (--tenants, --smoke, ...):
-        # `python -m repro.bench soak --tenants 3 --floors 50`.
-        from repro.bench import soak as SK
-        return SK.main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Reproduce the paper's evaluation figures.")
@@ -180,59 +124,24 @@ def main(argv=None) -> int:
                         help="runs per instance (paper: 5)")
     parser.add_argument("--json", type=Path, default=None,
                         help="also write results to this JSON file")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="thread-pool size for 'throughput'")
-    parser.add_argument("--venue", default="fig1",
-                        choices=("fig1", "synthetic", "synth"),
-                        help="venue for 'throughput'")
-    parser.add_argument("--pool", type=int, default=12,
-                        help="distinct queries for 'throughput'")
-    parser.add_argument("--repeats-pool", type=int, default=4,
-                        help="pool repetitions for 'throughput'")
-    parser.add_argument("--serve", action="store_true",
-                        help="'throughput': sharded process pool vs. "
-                             "threaded QueryService")
-    parser.add_argument("--artifact", default=T.DEFAULT_ARTIFACT,
-                        help="'throughput': trajectory JSON to append to "
-                             "('' disables)")
     args = parser.parse_args(argv)
 
     if args.list or not args.figures:
         print("available figures:")
         for fig in E.REGISTRY:
             print(f"  {fig:10s} {DESCRIPTIONS[fig]}")
-        for name, text in EXTRA_DESCRIPTIONS.items():
-            print(f"  {name:10s} {text}")
+        print(f"  {'scale':10s} {SCALE_DESCRIPTION}")
         return 0
 
-    figures = (list(E.REGISTRY) + ["throughput"]
-               if "all" in args.figures else args.figures)
+    figures = list(E.REGISTRY) if "all" in args.figures else args.figures
     if "scale" in figures:
         parser.error("run the scale bench as its own command: "
                      "python -m repro.bench scale [--floors ...]")
-    if "tenancy" in figures:
-        parser.error("run the tenancy bench as its own command: "
-                     "python -m repro.bench tenancy [--venues ...]")
-    if "memory" in figures:
-        parser.error("run the memory bench as its own command: "
-                     "python -m repro.bench memory [--budget-tenants ...]")
-    if "chaos" in figures:
-        parser.error("run the chaos bench as its own command: "
-                     "python -m repro.bench chaos [--kills ...]")
-    if "soak" in figures:
-        parser.error("run the soak harness as its own command: "
-                     "python -m repro.bench soak [--tenants ...]")
-    unknown = [f for f in figures
-               if f not in E.REGISTRY and f not in EXTRA_DESCRIPTIONS]
+    unknown = [f for f in figures if f not in E.REGISTRY]
     if unknown:
         parser.error(f"unknown figures: {unknown}; use --list")
-    documents = []
-    for figure in figures:
-        if figure == "throughput":
-            documents.append(run_throughput(args))
-            continue
-        documents.append(run_figure(
-            figure, args.scale, args.instances, args.repeats))
+    documents = [run_figure(figure, args.scale, args.instances, args.repeats)
+                 for figure in figures]
     if args.json is not None:
         args.json.write_text(json.dumps({
             "scale": args.scale,

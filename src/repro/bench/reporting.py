@@ -1,10 +1,19 @@
-"""Plain-text rendering of benchmark results (figure-style tables)."""
+"""Plain-text rendering of benchmark results (figure-style tables),
+latency percentiles, and the append-only trajectory artifact."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import json
+import math
+import time
+from pathlib import Path
+from typing import Dict, List, Sequence, Union
 
 from repro.bench.harness import SettingResult
+
+#: Default trajectory artifact, relative to the invoking directory
+#: (the repo root in CI and normal usage).
+DEFAULT_ARTIFACT = "BENCH_throughput.json"
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -55,3 +64,53 @@ def format_series(results: List[SettingResult],
                 raise ValueError(f"unknown metric {metric!r}")
         rows.append(row)
     return format_table(headers, rows)
+
+
+def latency_percentiles(seconds: Sequence[float]) -> Dict[str, float]:
+    """p50/p95/p99 (+ mean/max) of a latency sample, in milliseconds.
+
+    Nearest-rank percentiles over the sorted sample — deterministic,
+    no interpolation — so trajectory entries compare cleanly across
+    runs.
+    """
+    if not seconds:
+        return {}
+    data = sorted(seconds)
+    n = len(data)
+
+    def pct(p: float) -> float:
+        k = max(0, min(n - 1, math.ceil(p / 100.0 * n) - 1))
+        return data[k] * 1000.0
+
+    return {
+        "p50_ms": pct(50.0),
+        "p95_ms": pct(95.0),
+        "p99_ms": pct(99.0),
+        "mean_ms": sum(data) / n * 1000.0,
+        "max_ms": data[-1] * 1000.0,
+    }
+
+
+def append_trajectory(path: Union[str, Path], entry: Dict) -> None:
+    """Append one run to the trajectory artifact.
+
+    The artifact is a growing JSON document (``entries`` in run order)
+    so successive commits/runs chart the performance history; a
+    corrupt or foreign file is replaced rather than crashed on.
+    """
+    artifact = Path(path)
+    doc: Dict = {"format": "repro-bench-trajectory", "version": 1,
+                 "entries": []}
+    if artifact.exists():
+        try:
+            existing = json.loads(artifact.read_text())
+            if (isinstance(existing, dict)
+                    and existing.get("format") == doc["format"]
+                    and isinstance(existing.get("entries"), list)):
+                doc = existing
+        except (ValueError, OSError):
+            pass
+    entry = dict(entry)
+    entry.setdefault("recorded_unix", round(time.time(), 3))
+    doc["entries"].append(entry)
+    artifact.write_text(json.dumps(doc, indent=1, sort_keys=True))

@@ -31,8 +31,10 @@ path: for each venue size it
    audit for the ≤2% tracing budget,
 9. appends one entry per size — qps for all modes, the speedup over
    the dict core, the kernel speedups, the stage split, the
-   tracing overhead, p50/p95/p99 latencies and cold-start times — to
-   the ``BENCH_throughput.json`` trajectory.
+   tracing overhead, p50/p95/p99 latencies, cold-start times and the
+   share of non-empty answers (``non_empty_frac``; ``--smoke`` fails
+   below :data:`SMOKE_MIN_NON_EMPTY`) — to the
+   ``BENCH_throughput.json`` trajectory.
 
 Run it from the shell::
 
@@ -51,8 +53,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import random
 
-from repro.bench.throughput import (DEFAULT_ARTIFACT, _signature,
-                                    append_trajectory, latency_percentiles)
+from repro.bench.reporting import (DEFAULT_ARTIFACT, append_trajectory,
+                                   latency_percentiles)
 from repro.core.engine import IKRQEngine, canonical_algorithm
 from repro.obs import STAGE_ENGINE, EngineTrace, TraceRecorder
 from repro.datasets.queries import QueryGenerator
@@ -61,10 +63,21 @@ from repro.datasets.synth import (SynthMallConfig, build_synth_mall,
 from repro.serve.snapshot import load_snapshot, save_snapshot
 from repro.space.baseline import build_reference_engine, reference_context
 
+#: The least share of non-empty answers ``--smoke`` accepts: identity
+#: between cores that all answer ``[]`` would prove nothing.
+SMOKE_MIN_NON_EMPTY = 0.9
+
 #: Timed passes per engine.  The fastest pass counts, and competing
 #: engines run their passes interleaved, so a scheduler hiccup on a
 #: shared runner hits every core alike instead of skewing the ratio.
 TIMED_PASSES = 3
+
+
+def _signature(answers) -> List[list]:
+    """Exact result signature: items, vias, distance, score per route."""
+    return [[(tuple(repr(i) for i in r.route.items), r.route.vias,
+              r.distance, r.score) for r in answer.routes]
+            for answer in answers]
 
 
 def _one_pass(engine: IKRQEngine, stream, algorithm: str,
@@ -490,6 +503,8 @@ def run_scale_size(floors: int,
         "kernel_stage": kernel_stage,
         "kernel_end_to_end": kernel_end_to_end,
         "verified_identical": True,
+        "non_empty_frac": (sum(1 for a in array_answers if a.routes) / n
+                           if n else 0.0),
     }
     result["speedup_vs_dict"] = (result["array_qps"] / result["dict_qps"]
                                  if result["dict_qps"] else float("inf"))
@@ -550,7 +565,8 @@ def format_scale_report(result: Dict) -> str:
         f"({result['dict_seconds'] * 1000.0:8.1f} ms)",
         f"  v2 cold    : {result['snapshot_v2_qps']:10.1f} q/s",
         f"  speedup    : {result['speedup_vs_dict']:10.2f}x   "
-        f"results identical: {result['verified_identical']}",
+        f"results identical: {result['verified_identical']} "
+        f"(non-empty {result['non_empty_frac']:.0%})",
         f"  latency ms : p50={lat['p50_ms']:.2f} p95={lat['p95_ms']:.2f} "
         f"p99={lat['p99_ms']:.2f}",
         f"  cold start : json={cold['json_load_s'] * 1000.0:.1f} ms "
@@ -619,8 +635,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "'' disables)")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny CI run: 2 floors, small pool; fails on "
-                             "identity mismatch or a missing trajectory "
-                             "append")
+                             "identity mismatch, under "
+                             f"{SMOKE_MIN_NON_EMPTY:.0%} non-empty answers, "
+                             "or a missing trajectory append")
     args = parser.parse_args(argv)
     if args.smoke:
         # The smoke exists to prove the append happens, so it writes a
@@ -637,6 +654,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not all(r.get("verified_identical") for r in results):
             print("scale smoke FAILED: results not identical")
             return 1
+        sparse = [r["non_empty_frac"] for r in results
+                  if r["non_empty_frac"] < SMOKE_MIN_NON_EMPTY]
+        if sparse:
+            print(f"scale smoke FAILED: non-empty answer share {sparse} "
+                  f"is below {SMOKE_MIN_NON_EMPTY}; the identity check "
+                  f"compared empty route lists")
+            return 1
         import json
         from pathlib import Path
         try:
@@ -650,8 +674,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   f"{artifact}")
             return 1
         print(f"scale smoke ok: {len(results)} size(s) verified identical "
-              f"across array/dict/v2-snapshot cores, trajectory at "
-              f"{artifact}")
+              f"across array/dict/v2-snapshot cores on non-empty "
+              f"answers, trajectory at {artifact}")
         return 0
     artifact = DEFAULT_ARTIFACT if args.artifact is None else args.artifact
     run_scale(floors=args.floors, rooms_per_floor=args.rooms_per_floor,

@@ -115,12 +115,12 @@ def tenant_mall_configs(count: int,
                         rooms_per_floor: int = 16,
                         words_per_room: int = 4,
                         seed: int = 7) -> Dict[str, SynthMallConfig]:
-    """A fleet of distinct synthetic tenants for the tenancy workload.
+    """A fleet of distinct synthetic tenants for multi-venue tests.
 
     Returns ``venue id -> config``; each tenant derives its own corpus
     and assignment seed (offset deterministically from the master
     seed), so co-hosted venues answer *different* routes for the same
-    keyword traffic — exactly what the tenancy bench needs to catch a
+    keyword traffic — exactly what the tenancy tests need to catch a
     cross-venue routing mix-up.
     """
     if count < 1:

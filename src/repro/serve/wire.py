@@ -12,6 +12,11 @@ A query document::
      "keywords": ["latte", "apple"], "k": 3,
      "alpha": 0.5, "tau": 0.2, "soft_slack": 0.0, "gamma": 0.0}
 
+Field types are checked, never coerced: ``keywords`` is an array of
+strings, ``k`` an integer, and every other numeric field and point
+coordinate a number.  Booleans and numeric strings are refused
+(``ValueError``, which the serving layer answers as ``bad_request``).
+
 The *venue* a query targets is not part of the query document — it is
 routing state, carried as a sibling field of the HTTP body
 (``{"venue": "mall-a", "query": {...}}``) and echoed back on the
@@ -46,13 +51,20 @@ def point_to_wire(p: Point) -> List[float]:
     return [float(p.x), float(p.y), float(p.level)]
 
 
+def _number(value, name: str) -> float:
+    """``value`` as a float, if it is a JSON number (not a bool, not a
+    string — ``"50"`` and ``true`` are refused, not coerced)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def point_from_wire(values: Sequence[float]) -> Point:
     if not isinstance(values, (list, tuple)) or len(values) not in (2, 3):
         raise ValueError(f"point must be [x, y] or [x, y, level], got {values!r}")
-    coords = [float(v) for v in values]
-    if len(coords) == 2:
-        coords.append(0.0)
-    return Point(coords[0], coords[1], coords[2])
+    level = _number(values[2], "point level") if len(values) == 3 else 0.0
+    return Point(_number(values[0], "point x"),
+                 _number(values[1], "point y"), level)
 
 
 def query_to_wire(query: IKRQ) -> Dict:
@@ -75,17 +87,26 @@ def query_from_wire(doc: Dict) -> IKRQ:
     try:
         ps = point_from_wire(doc["ps"])
         pt = point_from_wire(doc["pt"])
-        delta = float(doc["delta"])
-        keywords = tuple(str(w) for w in doc["keywords"])
+        delta = _number(doc["delta"], "delta")
+        words = doc["keywords"]
     except KeyError as exc:
         raise ValueError(f"query document missing field {exc.args[0]!r}")
+    if not isinstance(words, (list, tuple)):
+        raise ValueError(f"keywords must be an array of strings, "
+                         f"got {words!r}")
+    for word in words:
+        if not isinstance(word, str):
+            raise ValueError(f"keywords must be an array of strings, "
+                             f"got {word!r} in it")
+    k = doc.get("k", 1)
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"k must be an integer, got {k!r}")
     return IKRQ(
-        ps=ps, pt=pt, delta=delta, keywords=keywords,
-        k=int(doc.get("k", 1)),
-        alpha=float(doc.get("alpha", 0.5)),
-        tau=float(doc.get("tau", 0.2)),
-        soft_slack=float(doc.get("soft_slack", 0.0)),
-        gamma=float(doc.get("gamma", 0.0)),
+        ps=ps, pt=pt, delta=delta, keywords=tuple(words), k=k,
+        alpha=_number(doc.get("alpha", 0.5), "alpha"),
+        tau=_number(doc.get("tau", 0.2), "tau"),
+        soft_slack=_number(doc.get("soft_slack", 0.0), "soft_slack"),
+        gamma=_number(doc.get("gamma", 0.0), "gamma"),
     )
 
 

@@ -1,16 +1,21 @@
-"""Shared fixtures: the Fig. 1 venue, engines, and random small spaces."""
+"""Shared fixtures: the Fig. 1 venue, engines, random small spaces, and
+two synthetic tenant malls with paper-method query streams."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.core import IKRQEngine
-from repro.datasets import paper_fig1
+from repro.core import IKRQ, IKRQEngine
+from repro.datasets import QueryGenerator, paper_fig1
+from repro.datasets.synth import (SynthMallConfig, build_synth_mall,
+                                  tenant_mall_configs, venue_diameter)
 from repro.geometry import Point, Rect
 from repro.keywords.mappings import KeywordIndex
+from repro.serve import answer_to_wire, canonical_json, save_snapshot
 from repro.space import IndoorSpaceBuilder, PartitionKind
 
 
@@ -129,3 +134,73 @@ def random_small_space(seed: int,
     ps = space.partition(cells[0]).footprint.random_interior_point(rng)
     pt = space.partition(cells[-1]).footprint.random_interior_point(rng)
     return space, index, ps, pt
+
+
+# ----------------------------------------------------------------------
+# Tenant malls with paper-method queries (the fleet-property tests)
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class TenantVenue:
+    """One synthetic tenant, its queries and their reference answers.
+
+    ``expected[algorithm][i]`` is the canonical JSON of
+    ``engine.search(queries[i], algorithm)`` — what a served answer
+    must equal byte for byte.
+    """
+
+    name: str
+    config: SynthMallConfig
+    engine: IKRQEngine
+    queries: Tuple[IKRQ, ...]
+    expected: Dict[str, Tuple[str, ...]]
+
+
+def paper_queries(engine: IKRQEngine, count: int = 16,
+                  seed: int = 11) -> Tuple[IKRQ, ...]:
+    """Section V-A1 queries: endpoints δs2t = 0.35 · venue diameter
+    apart, Δ = η · achieved δs2t, |QW| = 4 at i-word fraction 0.6."""
+    gen = QueryGenerator(engine.space, engine.kindex, graph=engine.graph,
+                         seed=seed)
+    s2t = 0.35 * venue_diameter(engine.space)
+    queries = []
+    for _ in range(count):
+        ps, pt, achieved = gen.endpoints(s2t)
+        queries.append(IKRQ(ps=ps, pt=pt, delta=1.8 * achieved,
+                            keywords=gen.sample_keywords(4, 0.6),
+                            k=7, alpha=0.5, tau=0.2))
+    return tuple(queries)
+
+
+@pytest.fixture(scope="session")
+def tenant_fleet() -> Dict[str, TenantVenue]:
+    """Two distinct 2-floor tenant malls, 16 paper-method queries each.
+
+    Every reference answer is asserted non-empty: a byte-identity gate
+    over empty route lists would pass on a fleet that answers nothing.
+    """
+    fleet = {}
+    configs = tenant_mall_configs(2, floors=2, rooms_per_floor=16,
+                                  words_per_room=3)
+    for name, cfg in sorted(configs.items()):
+        space, kindex = build_synth_mall(cfg)
+        engine = IKRQEngine(space, kindex, door_matrix_eager=False)
+        queries = paper_queries(engine)
+        expected = {}
+        for algorithm in ("ToE", "KoE", "KoE*"):
+            answers = [engine.search(q, algorithm) for q in queries]
+            assert all(a.routes for a in answers), (name, algorithm)
+            expected[algorithm] = tuple(
+                canonical_json(answer_to_wire(a)) for a in answers)
+        fleet[name] = TenantVenue(name, cfg, engine, queries, expected)
+    return fleet
+
+
+@pytest.fixture(scope="session")
+def tenant_snapshots(tenant_fleet, tmp_path_factory) -> Dict[str, str]:
+    """``venue -> path`` of a binary snapshot per tenant mall."""
+    tmp = tmp_path_factory.mktemp("tenants")
+    paths = {}
+    for name, venue in tenant_fleet.items():
+        paths[name] = str(tmp / f"{name}.snap.bin")
+        save_snapshot(paths[name], venue.engine, binary=True)
+    return paths

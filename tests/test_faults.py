@@ -11,6 +11,7 @@ a deterministic load failure, a crash loop).
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -132,6 +133,70 @@ class TestCrashFailover:
                                      "generation": 1}, timeout=60.0)
             assert response["status"] == "ok"
             assert _got(response) == _expected(engine, query_doc)
+        finally:
+            pool.close()
+
+
+@pytest.mark.slow
+class TestKillMidStream:
+    """An external SIGKILL while two venues are under load: no request
+    fails, every answer stays byte-identical, and the fleet heals."""
+
+    def test_sigkill_under_load_keeps_answers_identical(
+            self, tenant_fleet, tenant_snapshots):
+        pool = ShardPool(venues=tenant_snapshots, shards=2,
+                         heartbeat_interval=0.1, heartbeat_timeout=5.0,
+                         restart_backoff_s=0.05, restart_backoff_max_s=0.2)
+        try:
+            dispatcher = ShardDispatcher(pool, failover_retries=2)
+            lock = threading.Lock()
+            completed = [0]
+            outcomes = []  # (venue, query index, status, identical)
+
+            def hammer(venue):
+                docs = [query_to_wire(q) for q in venue.queries]
+                expected = venue.expected["ToE"]
+                for i in list(range(len(docs))) * 2:
+                    response = dispatcher.submit(docs[i], "ToE",
+                                                 venue=venue.name)
+                    status = response.get("status")
+                    with lock:
+                        outcomes.append((
+                            venue.name, i, status,
+                            status == "ok" and _got(response) == expected[i]))
+                        completed[0] += 1
+
+            threads = [threading.Thread(target=hammer, args=(venue,))
+                       for venue in tenant_fleet.values()]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 60.0
+            while completed[0] < 20 and time.monotonic() < deadline:
+                time.sleep(0.002)
+            killed = pool.kill_shard(0)
+            at_kill = completed[0]
+            for thread in threads:
+                thread.join()
+
+            assert killed
+            assert len(outcomes) == 2 * sum(
+                len(v.queries) for v in tenant_fleet.values())
+            assert at_kill < len(outcomes)  # the kill landed mid-stream
+            bad = [o for o in outcomes if o[2] not in ("ok", "overloaded")]
+            assert bad == []
+            mismatched = [o for o in outcomes if o[2] == "ok" and not o[3]]
+            assert mismatched == []
+            assert pool.wait_all_up(timeout=30.0)
+            assert pool.restarts_total >= 1
+            # The healed fleet answers every query, the restarted worker
+            # included, byte-identical to the reference.
+            for venue in tenant_fleet.values():
+                for query, expected in zip(venue.queries,
+                                           venue.expected["ToE"]):
+                    response = dispatcher.submit(query_to_wire(query), "ToE",
+                                                 venue=venue.name)
+                    assert response["status"] == "ok"
+                    assert _got(response) == expected
         finally:
             pool.close()
 

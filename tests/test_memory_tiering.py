@@ -6,6 +6,7 @@ import json
 import os
 import struct
 import threading
+import time
 
 import pytest
 
@@ -215,6 +216,34 @@ class TestSpillTier:
                 == eager.door_matrix().distance(did, doors[0])
 
 
+class TestTieredTenant:
+    def test_tiered_tenant_serves_paper_queries_identically(
+            self, tenant_fleet, tmp_path):
+        """A tenant loaded with every memory tier on — mmap'd buffers,
+        a two-row matrix budget, a disk spill tier — answers KoE* on
+        paper-method queries byte-identical to an eager load, with
+        nothing on the heap after the load and rows faulting back from
+        disk."""
+        venue = tenant_fleet["mall-00"]
+        warm = IKRQEngine(venue.engine.space, venue.engine.kindex)
+        warm.door_matrix()
+        path = str(tmp_path / "tenant.snap.bin")
+        save_snapshot(path, warm, binary=True)
+        eager = load_snapshot(path)
+        tiered = load_snapshot(path, mmap=True,
+                               matrix_spill_path=str(tmp_path / "t.rows"),
+                               matrix_max_rows=2)
+        assert tiered.memory_breakdown()["heap_bytes"] == 0
+        for query, expected in zip(venue.queries, venue.expected["KoE*"]):
+            assert canonical_json(answer_to_wire(
+                eager.search(query, "KoE*"))) == expected
+            assert canonical_json(answer_to_wire(
+                tiered.search(query, "KoE*"))) == expected
+        matrix = tiered.door_matrix()
+        assert matrix.spills > 0
+        assert matrix.spill_hits > 0
+
+
 # ----------------------------------------------------------------------
 # The running byte count
 # ----------------------------------------------------------------------
@@ -410,8 +439,11 @@ class TestGenerationGC:
         # Back to retired: the next sweep will retry, nothing orphaned.
         assert gen1.state == "retired"
 
-    def test_gc_never_deletes_active_under_concurrent_ingest(
-            self, fig1, warm_engine, tmp_path):
+    def _ingest_under_lease_checks(self, fig1, warm_engine, tmp_path,
+                                   window_s):
+        """Swap generations while a hammer serves and, holding a lease
+        on the active generation (the one every request takes), checks
+        that its file exists ``window_s`` later."""
         paths = []
         for i in range(3):
             path = tmp_path / f"gen{i}.snap.bin"
@@ -425,6 +457,7 @@ class TestGenerationGC:
         with ShardPool(paths[0], shards=1) as pool:
             dispatcher = ShardDispatcher(pool, max_pending=16,
                                          gc_keep_last=0)
+            registry = dispatcher.registry
 
             def hammer():
                 while not stop.is_set():
@@ -432,10 +465,15 @@ class TestGenerationGC:
                     if response.get("status") != "ok":
                         failures.append(response)
                         return
-                    active = dispatcher.registry.active("default")
-                    if not os.path.exists(active.path):
-                        failures.append(f"active file gone: {active.path}")
-                        return
+                    active = registry.acquire("default")
+                    try:
+                        time.sleep(window_s)
+                        if not os.path.exists(active.path):
+                            failures.append(
+                                f"active file gone: {active.path}")
+                            return
+                    finally:
+                        registry.release(active)
 
             thread = threading.Thread(target=hammer)
             thread.start()
@@ -455,6 +493,16 @@ class TestGenerationGC:
         assert not os.path.exists(paths[0])
         assert not os.path.exists(paths[1])
         assert os.path.exists(paths[2])
+
+    def test_gc_never_deletes_active_under_concurrent_ingest(
+            self, fig1, warm_engine, tmp_path):
+        self._ingest_under_lease_checks(fig1, warm_engine, tmp_path, 0.0)
+
+    def test_gc_waits_for_a_lease_held_across_a_swap(
+            self, fig1, warm_engine, tmp_path):
+        # A 50 ms window between taking the lease and checking the file
+        # makes the swaps land inside it: the drain must wait it out.
+        self._ingest_under_lease_checks(fig1, warm_engine, tmp_path, 0.05)
 
 
 # ----------------------------------------------------------------------

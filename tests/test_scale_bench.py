@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.bench import scale as S
 from repro.bench.scale import run_scale, run_scale_size
-from repro.bench.throughput import latency_percentiles
+from repro.bench.reporting import latency_percentiles
 from repro.datasets.synth import (SynthMallConfig, build_synth_mall,
                                   mall_stats, venue_diameter)
 from repro.space.serialize import space_to_dict
@@ -82,6 +84,7 @@ class TestScaleBench:
         assert result["verified_identical"] is True
         assert result["mode"] == "scale"
         assert result["queries"] == 4
+        assert result["non_empty_frac"] == 1.0
 
     def test_entry_carries_all_series(self, result):
         for key in ("array_qps", "dict_qps", "snapshot_v2_qps",
@@ -106,3 +109,26 @@ class TestScaleBench:
         entries = [e for e in doc["entries"] if e.get("mode") == "scale"]
         assert len(entries) == 1
         assert entries[0]["verified_identical"] is True
+
+    def test_smoke_gate_passes_on_paper_queries(self, tmp_path):
+        assert S.main(["--smoke", "--artifact",
+                       str(tmp_path / "smoke.json")]) == 0
+
+    def test_smoke_gate_fails_on_empty_answers(self, tmp_path,
+                                               monkeypatch, capsys):
+        """A stream whose every answer is empty — Δ far below the
+        endpoint separation — is identical across the cores and must
+        still fail the smoke."""
+        paper_stream = S.build_scale_stream
+
+        def infeasible_stream(engine, **kwargs):
+            return [dataclasses.replace(q, delta=1e-3)
+                    for q in paper_stream(engine, **kwargs)]
+
+        monkeypatch.setattr(S, "build_scale_stream", infeasible_stream)
+        artifact = tmp_path / "smoke.json"
+        assert S.main(["--smoke", "--artifact", str(artifact)]) == 1
+        assert "non-empty answer share [0.0]" in capsys.readouterr().out
+        entry = json.loads(artifact.read_text())["entries"][-1]
+        assert entry["verified_identical"] is True
+        assert entry["non_empty_frac"] == 0.0

@@ -1,5 +1,5 @@
 """The sharded serving layer: wire format, affinity, admission,
-metrics, shard pool, HTTP surface, and the serve throughput bench."""
+metrics, shard pool and HTTP surface."""
 
 from __future__ import annotations
 
@@ -81,6 +81,41 @@ class TestWire:
         for tau in (-0.1, 1.5):
             with pytest.raises(ValueError, match="tau"):
                 query_from_wire(dict(base, tau=tau))
+
+    #: Mistyped fields that a coercing decoder would have served.
+    MISTYPED = (
+        {"keywords": "latte"},          # a string, not an array
+        {"keywords": [1, None]},        # non-string members
+        {"keywords": ["latte", True]},
+        {"k": 2.9},                     # a float, not an integer
+        {"k": 2.0},
+        {"k": True},                    # bools are not integers
+        {"k": "2"},
+        {"delta": "50"},                # numeric strings
+        {"delta": True},
+        {"alpha": "0.5"},
+        {"tau": False},
+        {"soft_slack": None},
+        {"gamma": [0.0]},
+        {"ps": [0.0, "1.0", 0.0]},      # point coordinates
+        {"pt": [True, 1.0]},
+        {"pt": [0.0, 1.0, None]},
+    )
+
+    def test_query_rejects_mistyped_fields(self, queries):
+        base = query_to_wire(queries[0])
+        for bad in self.MISTYPED:
+            with pytest.raises(ValueError):
+                query_from_wire(dict(base, **bad))
+
+    def test_query_accepts_json_integers_as_numbers(self, queries):
+        base = query_to_wire(queries[0])
+        doc = dict(base, delta=60, ps=[7, 39, 0], alpha=1, gamma=0)
+        query = query_from_wire(doc)
+        assert query.delta == 60.0 and query.ps.x == 7.0
+        assert query.alpha == 1.0 and query.gamma == 0.0
+        assert query_from_wire(dict(base, keywords=("latte",))).keywords \
+            == ("latte",)
 
     def test_canonical_json_is_key_order_independent(self):
         assert (canonical_json({"b": 1, "a": [1.5]})
@@ -454,6 +489,13 @@ class TestHTTPServer:
             code, reply = self._post(server, dict(extra, query=base))
             assert code == 400 and reply["status"] == "bad_request", extra
 
+    def test_mistyped_fields_are_400(self, server, queries):
+        base = query_to_wire(queries[0])
+        for bad in TestWire.MISTYPED:
+            code, reply = self._post(server, {"query": dict(base, **bad)})
+            assert code == 400, (bad, reply)
+            assert reply["status"] == "bad_request"
+
     def test_non_object_body_is_400(self, server):
         code, doc = self._post(server, [1, 2, 3])
         assert code == 400 and doc["status"] == "bad_request"
@@ -491,25 +533,3 @@ class TestHTTPServer:
         assert "ikrq_shards 2" in text
         assert 'ikrq_venue_active_generation{venue="default"} 1' in text
         assert "ikrq_venues 1" in text
-
-
-# ----------------------------------------------------------------------
-# Serve throughput bench
-# ----------------------------------------------------------------------
-@pytest.mark.slow
-class TestServeBench:
-    def test_smoke_run_verifies_identity(self, tmp_path, monkeypatch):
-        from repro.bench.throughput import (append_trajectory,
-                                            run_serve_throughput)
-        result = run_serve_throughput(venue="fig1", pool=4, repeat=2,
-                                      endpoints=2, workers=2, seed=5)
-        assert result["verified_identical"]
-        assert result["queries"] == 8
-        assert result["sharded_qps"] > 0 and result["threaded_qps"] > 0
-        artifact = tmp_path / "BENCH_throughput.json"
-        append_trajectory(artifact, result)
-        append_trajectory(artifact, result)
-        doc = json.loads(artifact.read_text())
-        assert doc["format"] == "repro-bench-trajectory"
-        assert len(doc["entries"]) == 2
-        assert all(e["mode"] == "serve" for e in doc["entries"])

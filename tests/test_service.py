@@ -285,14 +285,3 @@ class TestQueryService:
             assert served.routes
             assert (canonical_json(answer_to_wire(served))
                     == canonical_json(answer_to_wire(direct)))
-
-
-class TestThroughputBench:
-    def test_smoke_run_verifies_and_wins(self):
-        from repro.bench.throughput import run_throughput
-        result = run_throughput(venue="fig1", pool=4, repeat=3,
-                                endpoints=2, workers=1, seed=5)
-        assert result["verified_identical"]
-        assert result["queries"] == 12
-        assert result["batched_qps"] > 0
-        assert result["sequential_qps"] > 0

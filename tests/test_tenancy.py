@@ -13,6 +13,7 @@ import urllib.request
 import pytest
 
 from repro.core import IKRQ, IKRQEngine
+from repro.datasets.synth import build_synth_mall
 from repro.geometry import Point, Rect
 from repro.keywords.mappings import KeywordIndex
 from repro.serve import (AdmissionController, IKRQServer, ShardDispatcher,
@@ -496,27 +497,78 @@ class TestHTTPTenancy:
 
 
 # ----------------------------------------------------------------------
-# Tenancy bench
+# Hot swap under load on paper-method queries
 # ----------------------------------------------------------------------
 @pytest.mark.slow
-class TestTenancyBench:
-    def test_smoke_run_swaps_and_verifies(self, tmp_path):
-        from repro.bench.tenancy import run_tenancy
-        from repro.bench.throughput import append_trajectory
-        entry = run_tenancy(venues=2, floors=1, rooms_per_floor=16,
-                            words_per_room=3, shards=2, pool=3, repeat=2,
-                            seed=11)
-        assert entry["verified_identical"]
-        assert entry["zero_dropped"]
-        assert entry["swap_atomic"]
-        assert entry["mismatches"] == 0
-        assert entry["swap"]["generation"] == 2
-        assert entry["swap"]["status"] == "ok"
-        assert set(entry["per_venue"]) == {"mall-00", "mall-01"}
-        artifact = tmp_path / "BENCH_throughput.json"
-        append_trajectory(artifact, entry)
-        doc = json.loads(artifact.read_text())
-        assert doc["entries"][0]["mode"] == "tenancy"
+class TestHotSwapUnderLoad:
+    def test_swap_mid_stream_is_atomic_and_byte_identical(
+            self, tenant_fleet, tenant_snapshots, tmp_path):
+        """Hammer two malls and ingest a rebuilt generation 2 of the
+        first one mid-stream.  Every answer is ``ok`` or shed and
+        byte-identical; the swapped venue answers from generation 1 or
+        2, and only from 2 once ``ingest`` has returned; the other
+        venue never leaves generation 1."""
+        swap, stable = sorted(tenant_fleet)
+        # Generation 2: a from-scratch rebuild of the same venue.
+        space, kindex = build_synth_mall(tenant_fleet[swap].config)
+        gen2_path = str(tmp_path / f"{swap}.gen2.snap.bin")
+        save_snapshot(gen2_path, IKRQEngine(space, kindex), binary=True)
+        swapped = threading.Event()
+        stop = threading.Event()
+        lock = threading.Lock()
+        served = {name: 0 for name in tenant_fleet}
+        # (venue, status, identical, generation, started after swap)
+        outcomes = []
+
+        def hammer(venue):
+            docs = [query_to_wire(q) for q in venue.queries]
+            expected = venue.expected["ToE"]
+            i = 0
+            while not stop.is_set():
+                after = swapped.is_set()
+                response = dispatcher.submit(docs[i], "ToE",
+                                             venue=venue.name)
+                status = response.get("status")
+                with lock:
+                    outcomes.append((
+                        venue.name, status,
+                        status == "ok"
+                        and _got(response) == expected[i],
+                        response.get("generation"), after))
+                    served[venue.name] += 1
+                i = (i + 1) % len(docs)
+
+        def wait_for(predicate):
+            deadline = time.monotonic() + 60.0
+            while not predicate() and time.monotonic() < deadline:
+                time.sleep(0.002)
+
+        with ShardPool(venues=tenant_snapshots, shards=2) as pool:
+            dispatcher = ShardDispatcher(pool, max_pending=64)
+            threads = [threading.Thread(target=hammer, args=(venue,))
+                       for venue in tenant_fleet.values()]
+            for thread in threads:
+                thread.start()
+            try:
+                wait_for(lambda: min(served.values()) >= 8)
+                report = dispatcher.ingest(swap, gen2_path)
+                swapped.set()
+                at_swap = served[swap]
+                wait_for(lambda: served[swap] >= at_swap + 16)
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join()
+
+        assert report["status"] == "ok" and report["generation"] == 2
+        assert [o for o in outcomes if o[1] not in ("ok", "overloaded")] \
+            == []
+        ok = [o for o in outcomes if o[1] == "ok"]
+        assert all(o[2] for o in ok)
+        swap_gens = [(o[3], o[4]) for o in ok if o[0] == swap]
+        assert {gen for gen, _ in swap_gens} == {1, 2}
+        assert {gen for gen, after in swap_gens if after} == {2}
+        assert {o[3] for o in ok if o[0] == stable} == {1}
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Dict, Optional, Sequence
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.bench.throughput import append_trajectory  # noqa: E402
+from repro.bench.reporting import append_trajectory  # noqa: E402
 
 
 def last_json_line(text: str) -> Dict:
