@@ -148,22 +148,7 @@ class IKRQSearch:
         self.results = TopKResults(
             context.k, deduplicate=config.use_prime_pruning)
         self.stats = SearchStats()
-        self._heap: List[Tuple[float, int, Stamp]] = []
-        self._counter = itertools.count()
         self._partitions_ok: Set[int] = set()
-
-    # ------------------------------------------------------------------
-    # Queue plumbing
-    # ------------------------------------------------------------------
-    def _push(self, stamp: Stamp) -> None:
-        heapq.heappush(self._heap, (-stamp.score, next(self._counter), stamp))
-        self.stats.on_push(stamp.route.num_items)
-        self.stats.track_queue(len(self._heap))
-
-    def _pop(self) -> Stamp:
-        _, _, stamp = heapq.heappop(self._heap)
-        self.stats.on_pop(stamp.route.num_items)
-        return stamp
 
     # ------------------------------------------------------------------
     # Stamp helpers shared with the strategies
@@ -203,27 +188,8 @@ class IKRQSearch:
         self.prime.update(route.tail, route.kp, stamp.distance)
 
     # ------------------------------------------------------------------
-    # Distance pruning caches (Rules 2 and 3)
+    # Partition pruning (Rule 3; ToE's find holds Rule 2)
     # ------------------------------------------------------------------
-    def door_admissible(self, door: int) -> bool:
-        """Pruning Rule 2: ``|ps, d|L + |d, pt|L ≤ Δ`` (cached)."""
-        ctx = self.ctx
-        if not self.config.use_distance_pruning:
-            return True
-        # Valid-first: on settled queries nearly every check is a
-        # repeat hit on Dn, and the two sets are disjoint.
-        if door in ctx.doors_valid:
-            return True
-        if door in ctx.doors_pruned:
-            return False
-        bound = ctx.lb_from_start(door) + ctx.lb_to_terminal(door)
-        if bound > ctx.delta_hard:
-            ctx.doors_pruned.add(door)
-            self.stats.pruned_rule2 += 1
-            return False
-        ctx.doors_valid.add(door)
-        return True
-
     def key_partition_pool(self) -> Set[int]:
         """The surviving KoE candidate partitions (Algorithm 1 line 3,
         shrunk in place by Pruning Rule 3)."""
@@ -353,31 +319,23 @@ class IKRQSearch:
         if best is not None:
             self._record_complete(best)
 
-    def connect(self, stamp: Stamp) -> None:
-        """Algorithm 5."""
-        self.stats.connects += 1
-        ctx = self.ctx
-        if stamp.partition == ctx.v_pt:
-            self._connect_directly(stamp)
-            if self.config.expand_through_terminal:
-                self._push(stamp)
-            return
-        if not self.prime_check(stamp):
-            return
-        if stamp.relevance >= ctx.full_relevance:
-            self._connect_via_shortest(stamp)
-            if self.config.expand_after_coverage:
-                self._push(stamp)
-            return
-        self._push(stamp)
-
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def run(self) -> List[RouteResult]:
-        """Execute the search and return the ranked top-k routes."""
+        """Execute the search and return the ranked top-k routes.
+
+        One loop pops stamps and connects (Algorithm 5) what ``find``
+        returns.  All of a find's stamps are connected after the find
+        returns: a completion may raise the kbound, and ``find`` reads
+        it once.  The queue and its counters live in locals for the
+        loop and are written back to ``stats`` at the end.
+        """
         started = time.perf_counter()
         ctx = self.ctx
+        config = self.config
+        stats = self.stats
+        results = self.results
         self.strategy.prepare(self)
 
         start_route = ctx.start_route()
@@ -393,23 +351,73 @@ class IKRQSearch:
         if s0.relevance >= ctx.full_relevance:
             self._connect_via_shortest(s0)
 
-        self._push(s0)
-        cap = self.config.max_expansions
-        while self._heap:
-            stamp = self._pop()
-            self.stats.stamps_popped += 1
-            if cap is not None and self.stats.stamps_popped > cap:
-                break
-            if self.config.use_kbound_pruning:
-                remaining = (ctx.lb_to_terminal(stamp.route.tail)
-                             if self.config.use_distance_pruning else 0.0)
-                upper = ctx.upper_bound_score(stamp.distance + remaining)
-                if upper <= self.kbound:
-                    self.stats.pruned_rule4 += 1
-                    continue
-            for next_stamp in self.strategy.find(self, stamp):
-                self.connect(next_stamp)
+        heap: List[Tuple[float, int, Stamp]] = []
+        counter = itertools.count()
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        find = self.strategy.find
+        prime_check = self.prime.check
+        use_prime = config.use_prime_pruning
+        use_kbound = config.use_kbound_pruning
+        use_distance = config.use_distance_pruning
+        through_terminal = config.expand_through_terminal
+        after_coverage = config.expand_after_coverage
+        cap = config.max_expansions
+        v_pt = ctx.v_pt
+        full_relevance = ctx.full_relevance
 
+        heappush(heap, (-s0.score, next(counter), s0))
+        live = peak = len(start_route.items)
+        max_queue = 1
+        popped = connects = pruned_rule4 = pruned_rule5 = 0
+        while heap:
+            stamp = heappop(heap)[2]
+            live -= len(stamp.route.items)
+            popped += 1
+            if cap is not None and popped > cap:
+                break
+            if use_kbound:
+                remaining = (ctx.lb_to_terminal(stamp.route.tail)
+                             if use_distance else 0.0)
+                upper = ctx.upper_bound_score(stamp.distance + remaining)
+                if upper <= results.kbound:
+                    pruned_rule4 += 1
+                    continue
+            for next_stamp in find(self, stamp):
+                # Algorithm 5: a stamp in v(pt) completes and (see the
+                # module docstring) stays expandable; one covering
+                # every keyword completes via the shortest regular
+                # continuation and stops; the rest queue up.
+                connects += 1
+                if next_stamp.partition == v_pt:
+                    self._connect_directly(next_stamp)
+                    if not through_terminal:
+                        continue
+                else:
+                    route = next_stamp.route
+                    if use_prime and not prime_check(
+                            route.tail, route.kp, next_stamp.distance):
+                        pruned_rule5 += 1
+                        continue
+                    if next_stamp.relevance >= full_relevance:
+                        self._connect_via_shortest(next_stamp)
+                        if not after_coverage:
+                            continue
+                heappush(heap, (-next_stamp.score, next(counter),
+                                next_stamp))
+                live += len(next_stamp.route.items)
+                if live > peak:
+                    peak = live
+                if len(heap) > max_queue:
+                    max_queue = len(heap)
+
+        stats.stamps_popped += popped
+        stats.connects += connects
+        stats.pruned_rule4 += pruned_rule4
+        stats.pruned_rule5 += pruned_rule5
+        stats.live_route_items = live
+        stats.peak_route_items = peak
+        stats.max_queue_len = max_queue
         self.strategy.finish(self)
         self.stats.prime_table_entries = len(self.prime)
         self.stats.aux_bytes += self.prime.estimated_bytes()

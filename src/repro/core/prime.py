@@ -57,6 +57,22 @@ class PrimeTable:
             return True
         return False
 
+    def admit(self, tail, kp: Tuple[int, ...], distance: float) -> bool:
+        """Algorithm 4, then the verdict of Algorithm 3 on the same route.
+
+        Records the route if it is the class's shortest and returns
+        whether a :meth:`check` of it made before any other update of
+        its class passes: ``False`` exactly when the class already held
+        a shorter route.  Counts nothing — the caller counts the checks
+        it stands in for.
+        """
+        key = self.key(tail, kp)
+        recorded = self._table.get(key)
+        if recorded is None or recorded > distance:
+            self._table[key] = distance
+            return True
+        return recorded == distance
+
     def best(self, tail, kp: Tuple[int, ...]) -> float:
         """The recorded class distance (``inf`` when absent)."""
         return self._table.get(self.key(tail, kp), float("inf"))

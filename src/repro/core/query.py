@@ -660,6 +660,14 @@ class QueryContext:
         read) from double-counting.  The wrappers only time —
         arguments and results pass through unchanged, so answers are
         bit-identical with the probe attached.
+
+        Only calls through these entry points are timed.  ToE's find
+        prices its one-hop steps from the distance oracle, reads its
+        Rule 1/2 bounds from the dense arrays and builds the routes
+        itself, so that work counts toward ``merge`` (the engine span
+        minus both stages); ToE's ``relaxation`` is only its
+        completions, and its ``lower_bound`` the dense fill and the
+        pop-time Rule 4 reads.
         """
         depth = [0]
         perf_counter = time.perf_counter

@@ -15,8 +15,11 @@ in O(1) per extension:
   i-word on the route (drives keyword relevance, Definition 6),
 * ``door_counts`` — door multiplicities for the regularity principle.
 
-Instances are immutable; extensions produce new routes that share
-nothing mutable with their parents.
+Routes are never changed once built; extensions produce new routes
+that share nothing mutable with their parents.  The class is not
+``frozen``: a frozen dataclass sets every field through
+``object.__setattr__``, which more than doubles the cost of building
+one on the expansion hot path.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from repro.geometry import Point
 Item = Union[int, Point]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Route:
-    """An immutable (partial or complete) route.
+    """A (partial or complete) route, never changed once built.
 
     Attributes:
         items: The item sequence ``(xs, d1, ..., [xt])``.

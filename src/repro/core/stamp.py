@@ -3,7 +3,9 @@
 A stamp ``S(v, R, δ, ρ, ψ)`` records a route expanded to a door (or
 the start point), the last partition the route has *entered*, and the
 route's distance, keyword relevance and ranking score.  Stamps are the
-elements of the priority queue driving the search.
+elements of the priority queue driving the search.  Like routes,
+stamps are never changed once built, and are not ``frozen`` for the
+same construction cost (see :mod:`repro.core.route`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from repro.core.route import Route
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Stamp:
     """A five-tuple ``S(v, R, δ, ρ, ψ)`` (paper Section IV-B).
 

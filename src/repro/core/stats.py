@@ -53,19 +53,6 @@ class SearchStats:
     elapsed_seconds: float = 0.0
 
     # ------------------------------------------------------------------
-    def on_push(self, route_items: int) -> None:
-        self.live_route_items += route_items
-        if self.live_route_items > self.peak_route_items:
-            self.peak_route_items = self.live_route_items
-
-    def on_pop(self, route_items: int) -> None:
-        self.live_route_items -= route_items
-
-    def track_queue(self, length: int) -> None:
-        if length > self.max_queue_len:
-            self.max_queue_len = length
-
-    # ------------------------------------------------------------------
     @property
     def total_pruned(self) -> int:
         return (self.pruned_rule1 + self.pruned_rule2 + self.pruned_rule3

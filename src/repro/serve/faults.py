@@ -37,7 +37,8 @@ reloads, say).
 
 The plan is plain data (``to_wire`` / ``from_wire``) so it crosses
 the process boundary like every other pool option, and the injector
-is deliberately dumb — no clocks, no randomness — so a chaos run
+is deliberately dumb — no clocks, no randomness — so a fault test
+(``tests/test_faults.py::TestKillMidStream`` and its neighbours)
 replays identically.
 """
 

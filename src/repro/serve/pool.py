@@ -186,8 +186,9 @@ def _shard_worker(shard_id: int,
 
     ``options["fault_plan"]`` (wire-encoded :class:`FaultPlan` rules)
     arms deterministic fault injection at three points — process
-    start, each load, each search — for the chaos harness and the
-    crash-path tests; see :mod:`repro.serve.faults`.
+    start, each load, each search — for the fleet fault tests
+    (``tests/test_faults.py``, e.g. ``TestKillMidStream``); see
+    :mod:`repro.serve.faults`.
     """
     from repro.core.engine import QueryService
     from repro.dynamic.state import apply_keyword_ops
@@ -581,7 +582,8 @@ class ShardPool:
     quarantines the shard instead.  ``heartbeat_timeout=0`` disables
     the stall detector (the sentinel still catches exits).
     ``fault_plan`` threads a :class:`~repro.serve.faults.FaultPlan`
-    into every worker for deterministic chaos testing.
+    into every worker for deterministic fault testing
+    (``tests/test_faults.py``).
     """
 
     def __init__(self,
@@ -1190,7 +1192,8 @@ class ShardPool:
         return out
 
     def kill_shard(self, shard: int) -> bool:
-        """SIGKILL one worker (the chaos harness's kill switch); the
+        """SIGKILL one worker (``tests/test_faults.py::TestKillMidStream``
+        kills one under load); the
         supervisor notices through the sentinel and takes over.
         Returns whether a live process was actually signalled."""
         proc = self._states[shard].proc

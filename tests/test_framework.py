@@ -13,6 +13,8 @@ from repro.core import (
 )
 from repro.core.engine import ALGORITHMS
 from repro.geometry import Point
+from tests.conftest import random_small_space
+from tests.test_equivalence import build_query
 
 
 class TestAlgorithmRegistry:
@@ -158,6 +160,24 @@ class TestStats:
         d = fig1_engine.search(query, "ToE").stats.as_dict()
         assert {"stamps_popped", "pruned_rule5",
                 "estimated_peak_mb"} <= set(d)
+
+    @pytest.mark.parametrize("cap", [None, 3])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_every_stamp_but_the_start_is_connected(self, fig1, fig1_engine,
+                                                    algorithm, cap):
+        """``connects == stamps_created - 1``: the start stamp is pushed
+        unconnected and every other stamp is connected exactly once,
+        including those Rule 5 rejects before they are built."""
+        cases = [(fig1_engine, IKRQ(ps=fig1.ps, pt=fig1.pt, delta=80.0,
+                                    keywords=("latte", "apple"), k=3))]
+        for seed in range(6):
+            space, kindex, ps, pt = random_small_space(seed)
+            cases.append((IKRQEngine(space, kindex),
+                          build_query(space, kindex, ps, pt, seed)))
+        for engine, query in cases:
+            s = engine.search(query, algorithm, max_expansions=cap).stats
+            assert s.connects == s.stamps_created - 1, (algorithm, cap)
+            assert s.connects > 0
 
     def test_live_route_items_balanced(self, fig1, fig1_engine):
         query = IKRQ(ps=fig1.ps, pt=fig1.pt, delta=60.0,

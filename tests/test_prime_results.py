@@ -71,6 +71,21 @@ class TestPrimeTable:
         assert t.checks == 2
         assert t.rejections == 1
 
+    @pytest.mark.parametrize("record,distance", [
+        (None, 10.0), (12.0, 10.0), (10.0, 10.0), (9.0, 10.0)])
+    def test_admit_is_update_then_check(self, record, distance):
+        """``admit`` leaves the table as ``update`` does and returns what
+        ``check`` would say right after, without counting."""
+        admitted, reference = PrimeTable(), PrimeTable()
+        if record is not None:
+            admitted.update(5, (1,), record)
+            reference.update(5, (1,), record)
+        verdict = admitted.admit(5, (1,), distance)
+        reference.update(5, (1,), distance)
+        assert verdict == reference.check(5, (1,), distance)
+        assert admitted.best(5, (1,)) == reference.best(5, (1,))
+        assert admitted.checks == admitted.rejections == 0
+
     def test_len_and_bytes(self):
         t = PrimeTable()
         t.update(1, (1,), 1.0)
